@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..atlas import atlas_search
 from ..kernels import KERNEL_ORDER, get_kernel
-from ..machine import Context, get_machine
+from ..machine import Context, canonical_machine
 from ..machine.config import MachineConfig
 from ..refcomp import ALL_COMPILERS
 from ..search import SearchResult, TuneConfig, TunedKernel, TuningSession
@@ -160,19 +160,11 @@ class ResultStore:
     def n_for(self, context: Context) -> int:
         return self.sizes[context]
 
-    @staticmethod
-    def canon_machine(machine) -> str:
-        """The wire schema's machine canonicalization (alias fold
-        through ``get_machine``, lowercased) — store keys and disk tags
-        use it so every spelling of one machine shares one row, and the
-        tags agree with service digests and warm-start lookups instead
-        of diverging on case (``"P4E"`` vs ``"p4e"``)."""
-        name = getattr(machine, "name", machine)
-        return get_machine(str(name)).name.lower()
-
     def get(self, machine: MachineConfig, context: Context, kernel: str,
             method: str) -> MethodResult:
-        key = (self.canon_machine(machine), context, kernel, method)
+        # every spelling of one machine shares one row, and disk tags
+        # agree with service digests and warm-start lookups
+        key = (canonical_machine(machine), context, kernel, method)
         if key not in self._cache:
             disk = self._load_disk(key)
             if disk is not None:

@@ -39,9 +39,9 @@ __all__ = ["FKO", "KernelAnalysis", "analyze", "PrefetchParams",
            "prefix_key", "clone_function"]
 
 #: parse -> check -> lower results keyed by source text (the front end
-#: is machine-independent; the per-machine analysis memo lives on each
-#: FKO instance).  Shared module-wide: the search recompiles the same
-#: handful of kernel sources hundreds of times.
+#: is machine-independent; the per-machine analysis of each lowered
+#: function lives on each FKO instance).  Shared module-wide: the search
+#: recompiles the same handful of kernel sources hundreds of times.
 _FRONT_END_CACHE = LRUCache(maxsize=64)
 
 
@@ -59,15 +59,21 @@ class FKO:
 
     Front-end products and per-kernel analyses are cached: the lowered
     :class:`Function` for a source string is built once (module-wide)
-    and :func:`compile_kernel` receives it to clone, while ``analyze``
-    results are memoized per (source, machine) on the instance.  Both
-    are safe because the pipeline never mutates its input function and
-    an analysis references only clone-shared value objects.
+    and :func:`compile_kernel` receives it to clone, while each instance
+    keeps the function it analyzed and that analysis as one entry per
+    source.  An analysis names its function's VRegs (accumulators), so
+    the two must never come from different lowerings: when the
+    module-wide cache evicts a source and lowers it again, the fresh
+    function carries fresh VRegs, and only the instance's own pair is
+    safe to compile.  Sharing is safe because the pipeline never mutates
+    its input function and an analysis references only clone-shared
+    value objects.
     """
 
     def __init__(self, machine: MachineConfig, prefix_cache: bool = True):
         self.machine = machine
-        self._analysis_cache = LRUCache(maxsize=64)
+        #: source -> (lowered Function, noprefetch set, its analysis)
+        self._source_cache = LRUCache(maxsize=64)
         #: post-AE IR snapshots keyed by (source, effective early params);
         #: entries are (Function, applied) and are cloned on every fork,
         #: so cached IR is never reachable from a caller
@@ -93,20 +99,28 @@ class FKO:
         fn, noprefetch = _front_end_cached(source)
         return clone_function(fn), set(noprefetch)
 
-    def analyze(self, source: Union[str, Function]) -> KernelAnalysis:
-        from .controlflow import cleanup_cfg
-        if isinstance(source, Function):
-            work = clone_function(source)
-            cleanup_cfg(work)
-            return analyze(work, self.machine, set())
-        result = self._analysis_cache.get(source)
-        if result is None:
+    def _source(self, source: str
+                ) -> Tuple[Function, frozenset, KernelAnalysis]:
+        """The lowered function of ``source``, its noprefetch set and
+        this machine's analysis of that very function, cached as one
+        entry so they are evicted together."""
+        entry = self._source_cache.get(source)
+        if entry is None:
             fn, noprefetch = _front_end_cached(source)
-            work = clone_function(fn)
-            cleanup_cfg(work)
-            result = analyze(work, self.machine, set(noprefetch))
-            self._analysis_cache.put(source, result)
-        return result
+            entry = (fn, noprefetch, self._analyze_fn(fn, noprefetch))
+            self._source_cache.put(source, entry)
+        return entry
+
+    def _analyze_fn(self, fn: Function, noprefetch) -> KernelAnalysis:
+        from .controlflow import cleanup_cfg
+        work = clone_function(fn)
+        cleanup_cfg(work)
+        return analyze(work, self.machine, set(noprefetch))
+
+    def analyze(self, source: Union[str, Function]) -> KernelAnalysis:
+        if isinstance(source, Function):
+            return self._analyze_fn(source, ())
+        return self._source(source)[2]
 
     def _full_key(self, source: str, params: TransformParams,
                   analysis: KernelAnalysis, debug_verify: bool):
@@ -146,8 +160,7 @@ class FKO:
                                   noprefetch=set(),
                                   debug_verify=debug_verify)
         source = self._effective_source(source, params)
-        fn, noprefetch = _front_end_cached(source)
-        analysis = self.analyze(source)
+        fn, noprefetch, analysis = self._source(source)
         # Memoized compilation is bypassed while an obs collector is
         # active: a cache hit would skip the per-pass spans a trace of
         # this eval is expected to carry, making observed traces depend

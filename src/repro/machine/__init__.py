@@ -8,8 +8,8 @@
   execution for correctness testing
 """
 
-from .config import CacheConfig, ExecClass, MachineConfig, get_machine, \
-    opteron, pentium4e
+from .config import CacheConfig, ExecClass, MachineConfig, \
+    canonical_machine, get_machine, opteron, pentium4e
 from .registers import GP_NAMES, SP, XMM_NAMES, gp_regs, xmm_regs
 from .loopinfo import LoopSummary, StreamInfo, summarize
 from .timing import (Context, LoopTimer, TimingResult, TimingStats,
@@ -18,8 +18,8 @@ from .memory import MemoryImage
 from .interp import Interpreter, RunResult, run_function
 
 __all__ = [
-    "CacheConfig", "ExecClass", "MachineConfig", "get_machine", "opteron",
-    "pentium4e",
+    "CacheConfig", "ExecClass", "MachineConfig", "canonical_machine",
+    "get_machine", "opteron", "pentium4e",
     "GP_NAMES", "SP", "XMM_NAMES", "gp_regs", "xmm_regs",
     "LoopSummary", "StreamInfo", "summarize",
     "Context", "LoopTimer", "TimingResult", "TimingStats",

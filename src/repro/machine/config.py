@@ -25,7 +25,7 @@ The mechanisms the paper's evaluation turns on are all visible here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from ..ir.instructions import PrefetchHint
 
@@ -263,12 +263,26 @@ def opteron() -> MachineConfig:
 
 _MACHINES = {"p4e": pentium4e, "opteron": opteron}
 
+#: every accepted spelling (lowercased, '-' and '_' dropped) -> its
+#: canonical name, a key of ``_MACHINES``
+_ALIASES = {"p4e": "p4e", "pentium4e": "p4e", "pentium4": "p4e",
+            "opteron": "opteron", "opt": "opteron", "k8": "opteron"}
+
+
+def canonical_machine(name: Union[str, MachineConfig]) -> str:
+    """The canonical spelling ('p4e' or 'opteron') of a machine name,
+    alias or :class:`MachineConfig`, without building a config.  Job
+    keys, wire requests, result-store rows and warm-start lookups all
+    canonicalize through this, so one machine has one spelling."""
+    spelled = str(getattr(name, "name", name))
+    key = spelled.lower().replace("-", "").replace("_", "")
+    try:
+        return _ALIASES[key]
+    except KeyError:
+        raise KeyError(f"unknown machine {spelled!r}; known: p4e, "
+                       f"opteron") from None
+
 
 def get_machine(name: str) -> MachineConfig:
     """Look up a machine config by name ('p4e' or 'opteron')."""
-    key = name.lower().replace("-", "").replace("_", "")
-    if key in ("p4e", "pentium4e", "pentium4"):
-        return pentium4e()
-    if key in ("opteron", "opt", "k8"):
-        return opteron()
-    raise KeyError(f"unknown machine {name!r}; known: p4e, opteron")
+    return _MACHINES[canonical_machine(name)]()

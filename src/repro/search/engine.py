@@ -61,7 +61,7 @@ from ..fko import FKO, TransformParams
 from ..hil.tiling import nest_info
 from ..kernels import KERNEL_ORDER, REGISTRY, get_kernel
 from ..kernels.blas1 import KernelSpec
-from ..machine import Context, get_machine, summarize
+from ..machine import Context, canonical_machine, get_machine, summarize
 from ..machine.config import MachineConfig
 from ..obs import metrics as _metrics
 from ..obs.core import Collector, use as _obs_use
@@ -314,7 +314,7 @@ class TuningJob:
             self.machine = self.machine.name
         # canonicalize aliases ("P4E", "pentium4", ...) so checkpoint
         # keys match however the job was constructed
-        self.machine = get_machine(self.machine).name.lower()
+        self.machine = canonical_machine(self.machine)
         if isinstance(self.context, str):
             self.context = Context(self.context)
         if self.kernel not in REGISTRY:

@@ -331,21 +331,25 @@ def make_searcher(name: str, space: SearchSpace, start: TransformParams,
 
 def _random_point(space: SearchSpace, rng: np.random.Generator,
                   ) -> TransformParams:
-    """One uniform point: the space's generic dimension walk with a
-    seeded ``rng.choice`` per legal dimension.  New dimensions (tile
+    """One uniform point: the space's generic dimension walk with one
+    seeded index draw per legal dimension.  New dimensions (tile
     sizes) are declared after the legacy ones, so the draw stream over
-    a legacy space is unchanged."""
-    return space.draw(lambda dim: rng.choice(dim.options))
+    a legacy space is unchanged.  ``rng.integers(k)`` consumes the
+    generator exactly as ``rng.choice`` over k options does, without
+    converting the options to an array on every call."""
+    return space.draw(
+        lambda dim: dim.options[int(rng.integers(len(dim.options)))])
 
 
 def _move_list(space: SearchSpace) -> List[str]:
-    """The neighbor-move vocabulary, derived generically from the
-    dimension list (legacy precedence preserved: unroll/ae first, then
-    the toggles, then per-array prefetch moves, then tile moves)."""
-    by_name = {d.name: d for d in space.dimensions}
+    """The neighbor-move vocabulary, read from the option lists behind
+    the dimension list without building it (legacy precedence
+    preserved: unroll/ae first, then the toggles, then per-array
+    prefetch moves, then tile moves in declared order)."""
     moves = ["unroll", "ae"]
-    for name in ("sv", "wnt"):
-        if len(by_name[name].options) > 1:
+    for name, options in (("sv", space.sv_options),
+                          ("wnt", space.wnt_options)):
+        if len(options) > 1:
             moves.append(name)
     for arr in space.prefetch_arrays:
         moves.append(f"dist:{arr}")
@@ -354,9 +358,9 @@ def _move_list(space: SearchSpace) -> List[str]:
         # down to 0 one option at a time almost never survives a walk,
         # but "off" is often the winning value (WNT'd outputs)
         moves.append(f"pftoggle:{arr}")
-    for dim in space.tile_dims:
-        if len(dim.options) > 1:
-            moves.append(dim.name)
+    for ivar, options in space.tile_options.items():
+        if len(options) > 1:
+            moves.append(f"tile:{ivar}")
     return moves
 
 
@@ -376,7 +380,8 @@ def _neighbor(space: SearchSpace, rng: np.random.Generator,
         if coarse:
             return options[int(rng.integers(len(options)))]
         i = options.index(value) if value in options else 0
-        j = min(len(options) - 1, max(0, i + int(rng.choice([-1, 1]))))
+        j = min(len(options) - 1,
+                max(0, i + (-1, 1)[int(rng.integers(2))]))
         return options[j]
 
     if move == "sv":
@@ -388,9 +393,8 @@ def _neighbor(space: SearchSpace, rng: np.random.Generator,
     if move == "ae":
         return params.copy(ae=step(space.ae_options, params.ae))
     if move.startswith("tile:"):
-        dim = next(d for d in space.tile_dims if d.name == move)
-        return dim_set(params, move,
-                       step(dim.options, dim_get(params, move)))
+        options = space.tile_options[move[len("tile:"):]]
+        return dim_set(params, move, step(options, dim_get(params, move)))
     kind, arr = move.split(":")
     pf = params.pf(arr)
     if kind == "pftoggle":
@@ -687,41 +691,93 @@ class _RegressionTree:
         self.right: Optional["_RegressionTree"] = None
         self.value = value
 
-    def predict(self, x: Sequence[float]) -> float:
-        node = self
-        while node.feature >= 0:
-            node = node.left if x[node.feature] <= node.threshold \
-                else node.right
-        return node.value
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Leaf values for every row of ``X`` (m x F): each node routes
+        its index subset left (``x[feature] <= threshold``) or right."""
+        out = np.empty(len(X))
+        stack = [(self, np.arange(len(X)))]
+        while stack:
+            node, idx = stack.pop()
+            if node.feature < 0:
+                out[idx] = node.value
+                continue
+            go_left = X[idx, node.feature] <= node.threshold
+            stack.append((node.left, idx[go_left]))
+            stack.append((node.right, idx[~go_left]))
+        return out
 
 
 def _fit_tree(X: np.ndarray, y: np.ndarray, depth: int,
               min_leaf: int = 2) -> _RegressionTree:
-    node = _RegressionTree(float(np.mean(y)))
+    """Grow a tree on ``X`` (n x F) against ``y`` by recursive SSE
+    splits at midpoints between adjacent distinct feature values, with
+    at least ``min_leaf`` rows on each side.
+
+    Each node's split search is one pass of array operations.  A stable
+    sort of every column puts the rows left of each candidate threshold
+    first, so prefix sums ``S`` of the centred targets score every
+    (feature, threshold) pair at once: a split with ``k`` rows on the
+    left has SSE equal to the total sum of squares minus
+    ``S**2 * n / (k * (n - k))``.  That is exact algebra, but it rounds
+    differently from the direct formula (``y[mask]`` in original row
+    order, minus its mean, squared and summed), so it only shortlists:
+    every candidate within ``1e-9 * y @ y`` of the best is re-scored
+    with the direct formula, in feature order then ascending threshold,
+    and kept only when strictly better than the incumbent.  The band is
+    orders of magnitude wider than either formula's rounding error, so
+    the split kept — ties included, as when two features induce one
+    partition — is exactly the one a direct scan of every candidate
+    keeps."""
     n = len(y)
-    if depth <= 0 or n < 2 * min_leaf or float(np.ptp(y)) == 0.0:
+    node = _RegressionTree(float(y.sum() / n))     # == np.mean(y)
+    if depth <= 0 or n < 2 * min_leaf or y.max() == y.min():
         return node
-    best: Optional[Tuple[float, int, float]] = None   # (sse, j, t)
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        values = np.unique(col)
-        if len(values) < 2:
-            continue
-        for t in (values[:-1] + values[1:]) / 2.0:
-            mask = col <= t
-            nl = int(mask.sum())
-            if nl < min_leaf or n - nl < min_leaf:
-                continue
-            yl, yr = y[mask], y[~mask]
+    cols = np.arange(X.shape[1])
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = X[order, cols]
+    lo, hi = xs[:-1], xs[1:]
+    distinct = lo < hi                 # one threshold per value pair
+    thresh = (lo + hi) / 2.0
+    # the threshold after sorted row k - 1 sends the first k sorted rows
+    # left; the between-sides sum of squares ranks every such split
+    k = np.arange(1, n)[:, None]
+    s = np.cumsum((y - node.value)[order], axis=0)[:-1]
+    gain = np.where(distinct & (k >= min_leaf) & (n - k >= min_leaf),
+                    s * s * (n / (k * (n - k))), -np.inf)
+    up = distinct & (thresh == hi)
+    if up.any():
+        # a midpoint that rounds up onto hi (adjacent floats) also sends
+        # hi's run of equal values left: the partition of the run's last
+        # row, or no split at all when the run ends the column
+        run_last = np.minimum.accumulate(np.where(
+            np.concatenate([distinct, np.ones_like(distinct[:1])]),
+            np.arange(n)[:, None], n - 1)[::-1], axis=0)[::-1]
+        padded = np.concatenate([gain, np.full_like(gain[:1], -np.inf)])
+        gain = np.where(up, padded[run_last[1:], cols], gain)
+    top = gain.max()
+    if top == -np.inf:
+        return node
+    band = top - 1e-9 * float(y @ y) - np.finfo(float).tiny
+    js, ks = np.nonzero((gain >= band).T)            # scan order
+    masks = X[:, js] <= thresh[ks, js]
+    # equal partitions score equal, so only the first in scan order can
+    # be kept: score each distinct one once, and none when only one
+    firsts: Dict[bytes, int] = {}
+    for c in range(len(js)):
+        firsts.setdefault(masks[:, c].tobytes(), c)
+    candidates = list(firsts.values())
+    best = candidates[0]
+    if len(candidates) > 1:
+        best_sse = math.inf
+        for c in candidates:
+            yl, yr = y[masks[:, c]], y[~masks[:, c]]
             sse = float(((yl - yl.mean()) ** 2).sum()
                         + ((yr - yr.mean()) ** 2).sum())
-            if best is None or sse < best[0]:
-                best = (sse, j, float(t))
-    if best is None:
-        return node
-    _, j, t = best
-    mask = X[:, j] <= t
-    node.feature, node.threshold = j, t
+            if sse < best_sse:
+                best_sse, best = sse, c
+    mask = masks[:, best]
+    j = int(js[best])
+    node.feature, node.threshold = j, float(thresh[ks[best], j])
     node.left = _fit_tree(X[mask], y[mask], depth - 1, min_leaf)
     node.right = _fit_tree(X[~mask], y[~mask], depth - 1, min_leaf)
     return node
@@ -744,9 +800,13 @@ class _Forest:
         return cls([_fit_tree(Xa[idx], ya[idx], depth)
                     for idx in (rng.integers(0, n, n) for _ in range(bag))])
 
-    def predict(self, x: Sequence[float]) -> Tuple[float, float]:
-        p = [t.predict(x) for t in self.trees]
-        return float(np.mean(p)), float(np.std(p))
+    def predict(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row (mean, std) over the trees for ``X`` (m x F).  The
+        reductions run along the contiguous tree axis of an (m x bag)
+        matrix, which rounds exactly like ``np.mean``/``np.std`` over
+        one row's predictions."""
+        P = np.stack([t.predict(X) for t in self.trees], axis=1)
+        return P.mean(axis=1), P.std(axis=1)
 
 
 def _expected_improvement(mu: float, sigma: float, best: float) -> float:
@@ -857,16 +917,21 @@ class SurrogateSearch(Searcher):
                 model = _Forest.fit(obs_x, obs_y, self.bag, self.depth,
                                     rng)
                 best_log = math.log(self.best_cycles)
-                scored = []
+                fresh: List[Tuple[int, TransformParams]] = []
                 seen = set()
                 for i, p in enumerate(pool):
                     key = p.key()
                     if key in self._memo or key in seen:
                         continue
                     seen.add(key)
-                    mu, sigma = model.predict(self.space.encode(p))
-                    ei = _expected_improvement(mu, sigma, best_log)
-                    scored.append((-ei, i, p))
+                    fresh.append((i, p))
+                scored = []
+                if fresh:
+                    mu, sigma = model.predict(np.array(
+                        [self.space.encode(p) for _, p in fresh]))
+                    scored = [(-_expected_improvement(float(m), float(sd),
+                                                      best_log), i, p)
+                              for (i, p), m, sd in zip(fresh, mu, sigma)]
                 # ties (equal EI) resolve by pool position, so the
                 # ranking is a total order independent of dict/set state
                 scored.sort(key=lambda t: (t[0], t[1]))

@@ -13,7 +13,7 @@ machine however the writer did (``TunedKernel.to_dict`` records the
 config's canonical-case name, e.g. ``"P4E"``; the wire schema
 lowercases to ``"p4e"``) and their context as either the enum value or
 a CLI short form.  Every spelling is folded through the *same* path the
-wire schema uses — ``get_machine(...).name.lower()`` and
+wire schema uses — ``canonical_machine`` and
 ``parse_context`` — on both the stored and the query side, and a
 missing problem size takes the wire's ``default_n``.  Without that, a
 result served by the daemon is invisible to an in-process warm-start of
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..fko.params import TransformParams
+from ..machine.config import canonical_machine
 
 __all__ = ["WarmEntry", "load_entries", "lookup_warm_start",
            "write_warm_entry"]
@@ -59,14 +60,6 @@ class WarmEntry:
 
 # -- canonicalization (the wire schema's own paths, imported lazily to
 #    keep repro.search free of an import cycle with repro.service) ------
-
-def canon_machine(machine) -> str:
-    """Machine spelling -> the wire schema's canonical form (alias fold
-    through ``get_machine``, lowercased)."""
-    from ..machine import get_machine
-    name = getattr(machine, "name", machine)
-    return get_machine(str(name)).name.lower()
-
 
 def canon_context(context) -> str:
     """Context spelling (enum, value string or CLI short form) -> the
@@ -122,7 +115,7 @@ def _parse_entry(data, source: str) -> Optional[WarmEntry]:
         return WarmEntry(
             kernel=kernel,
             base=_kernel_base(kernel),
-            machine=canon_machine(result.get("machine", "p4e")),
+            machine=canonical_machine(result.get("machine", "p4e")),
             context=canon_context(result.get("context", "out-of-cache")),
             n=canon_n(kernel, result.get("context", "out-of-cache"),
                       result.get("n")),
@@ -177,7 +170,7 @@ def lookup_warm_start(root, kernel: str, machine, context,
     entries = load_entries(root)
     if not entries:
         return [], ""
-    machine = canon_machine(machine)
+    machine = canonical_machine(machine)
     context = canon_context(context)
     n = canon_n(kernel, context, n)
     base = _kernel_base(kernel)

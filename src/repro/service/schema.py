@@ -28,7 +28,7 @@ from typing import Dict, Optional
 
 from .. import __version__
 from ..kernels import REGISTRY
-from ..machine import Context, get_machine
+from ..machine import Context, canonical_machine
 from ..search.config import TuneConfig
 from ..search.drivers import TunedKernel
 from ..search.linesearch import SearchResult
@@ -105,7 +105,7 @@ class TuneRequest:
         if self.kernel not in REGISTRY:
             raise ValueError(f"unknown kernel {self.kernel!r}; the "
                              f"service tunes registry kernels")
-        self.machine = get_machine(self.machine).name.lower()
+        self.machine = canonical_machine(self.machine)
         ctx = parse_context(self.context)
         self.context = ctx.value
         self.n = (int(self.n) if self.n is not None

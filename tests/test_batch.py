@@ -143,6 +143,40 @@ class TestPrefixCacheAliasing:
         assert canonical_function_text(again.fn) == want
         assert fko.full_hits > 0   # and it *was* served from the cache
 
+    def test_relowered_source_gets_its_own_analysis(self, monkeypatch):
+        """An analysis names its function's VRegs, so it must come from
+        the same lowering the compile clones.  Evict the module-wide
+        front-end cache (as a stream of tiled sources does) after the
+        analysis is cached: the compile must still pair them."""
+        import repro.fko
+        from repro.util import LRUCache
+        fko = FKO(get_machine("p4e"))
+        hil = get_kernel("ddot").hil
+        params = dataclasses.replace(fko.defaults(hil), sv=True, unroll=4,
+                                     ae=2)
+        want = canonical_function_text(fko.compile(hil, params).fn)
+        monkeypatch.setattr(repro.fko, "_FRONT_END_CACHE",
+                            LRUCache(maxsize=64))
+        fresh = dataclasses.replace(params, unroll=2)   # a prefix miss
+        fko.compile(hil, fresh)
+        assert canonical_function_text(fko.compile(hil, params).fn) == want
+
+    def test_retune_after_tiled_search_in_one_session(self):
+        """A tiled dgemm search churns more sources through the
+        module-wide front-end cache than it holds, so ddot is lowered
+        again when it is re-tuned in the same session."""
+        config = TuneConfig(strategy="surrogate", seed=0, max_evals=8,
+                            jobs=1, run_tester=False)
+        with TuningSession(config) as session:
+            for kernel, machine, n, budget in (
+                    ("ddot", "p4e", 4000, 8), ("daxpy", "p4e", 4000, 8),
+                    ("dscal", "p4e", 4000, 8), ("dswap", "p4e", 4000, 8),
+                    ("dgemm", "opteron", 64, 80),
+                    ("ddot", "p4e", 4000, 24)):
+                tuned = session.tune(kernel, machine, Context.OUT_OF_CACHE,
+                                     n, max_evals=budget)
+                assert tuned.search.n_evaluations == budget
+
     def test_fuzz_with_prefix_cached_compiles(self):
         """The differential fuzzer drives transformed compiles through
         memoized FKO instances — a short campaign must stay clean."""

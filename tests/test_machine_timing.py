@@ -6,8 +6,9 @@ import pytest
 from repro.fko import FKO, PrefetchParams, TransformParams
 from repro.ir import PrefetchHint
 from repro.kernels import get_kernel
-from repro.machine import (Context, LoopTimer, get_machine, opteron,
-                           pentium4e, summarize, time_kernel)
+from repro.machine import (Context, LoopTimer, canonical_machine,
+                           get_machine, opteron, pentium4e, summarize,
+                           time_kernel)
 from repro.machine.timing import cpu_cycles_per_trip
 
 
@@ -143,6 +144,16 @@ class TestMachineConfigs:
     def test_unknown_machine(self):
         with pytest.raises(KeyError):
             get_machine("itanium")
+        with pytest.raises(KeyError, match="itanium"):
+            canonical_machine("itanium")
+
+    @pytest.mark.parametrize("spelling", [
+        "p4e", "P4E", "pentium4e", "Pentium-4E", "pentium_4", "opteron",
+        "Opteron", "opt", "K8"])
+    def test_canonical_machine_matches_the_config_name(self, spelling):
+        want = get_machine(spelling).name.lower()
+        assert canonical_machine(spelling) == want
+        assert canonical_machine(get_machine(spelling)) == want
 
     def test_paper_platform_parameters(self):
         p4e, opt = pentium4e(), opteron()
