@@ -226,8 +226,7 @@ def test_ablation_block_fetch_closes_dcopy_gap(benchmark, results_dir):
 def test_ablation_search_strategies(benchmark, results_dir):
     """Section 2.3's named alternatives, at equal evaluation budget."""
     from repro.machine import Context
-    from repro.search import (LineSearch, build_space, genetic_search,
-                              random_search, simulated_annealing)
+    from repro.search import LineSearch, build_space, make_searcher
     from repro.timing.timer import Timer
 
     spec = get_kernel("ddot")
@@ -248,18 +247,13 @@ def test_ablation_search_strategies(benchmark, results_dir):
     def run():
         line = LineSearch(space, start,
                           output_arrays=a.output_arrays).run(ev)
-        budget = line.n_evaluations
-        return {
-            "line": (line.best_cycles, line.n_evaluations),
-            "random": _res(random_search(ev, space, start, budget, seed=5)),
-            "anneal": _res(simulated_annealing(ev, space, start, budget,
-                                               seed=5)),
-            "genetic": (lambda r: (r.best_cycles, r.n_evaluations))(
-                genetic_search(ev, space, start, budget, seed=5)),
-        }
-
-    def _res(r):
-        return (r.best_cycles, r.n_evaluations)
+        out = {"line": (line.best_cycles, line.n_evaluations)}
+        for name in ("random", "anneal", "genetic"):
+            r = make_searcher(name, space, start,
+                              max_evals=line.n_evaluations,
+                              seed=5).run(ev)
+            out[name] = (r.best_cycles, r.n_evaluations)
+        return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
     text = "\n".join(f"{name:8s} {c:.0f} cycles in {n} evals"

@@ -13,9 +13,7 @@ exhaustive sweep as the gold standard.
 
 from repro import Context, FKO, get_kernel, pentium4e
 from repro.reporting import format_table
-from repro.search import (LineSearch, build_space, exhaustive_search,
-                          genetic_search, random_search,
-                          simulated_annealing)
+from repro.search import LineSearch, build_space, make_searcher
 from repro.timing.timer import Timer
 
 KERNEL = "dasum"
@@ -42,10 +40,14 @@ def main() -> int:
                         aes=(1, 2, 4), dist_lines=(2, 4, 8, 16, 24))
     start = fko.defaults(spec.hil)
 
+    def search(name, max_evals, **opts):
+        return make_searcher(name, space, start, max_evals=max_evals,
+                             **opts).run(evaluate)
+
     line = LineSearch(space, start,
                       output_arrays=analysis.output_arrays).run(evaluate)
     budget = line.n_evaluations
-    gold = exhaustive_search(evaluate, space, start, max_evals=10 ** 6)
+    gold = search("exhaustive", 10 ** 6)
 
     rows = []
     def add(name, res):
@@ -55,10 +57,9 @@ def main() -> int:
                      f"{100 * res.best_cycles / gold.best_cycles - 100:+.2f}%"])
 
     add("line search (ifko)", line)
-    add("random", random_search(evaluate, space, start, budget, seed=11))
-    add("simulated annealing",
-        simulated_annealing(evaluate, space, start, budget, seed=11))
-    add("genetic", genetic_search(evaluate, space, start, budget, seed=11))
+    add("random", search("random", budget, seed=11))
+    add("simulated annealing", search("anneal", budget, seed=11))
+    add("genetic", search("genetic", budget, seed=11))
     add("exhaustive (gold)", gold)
 
     print(format_table(

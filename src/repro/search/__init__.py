@@ -29,8 +29,6 @@ from .scheduler import BudgetLedger, FairQueue, InflightTable, Scheduler
 from .trace import (TRACE_VERSION, TraceEvents, TraceStream,
                     TraceWriter, read_trace, render_trace_summary,
                     summarize_trace)
-from .alternatives import (STRATEGIES, exhaustive_search, genetic_search,
-                           random_search, simulated_annealing)
 
 __all__ = ["DEFAULT_AES", "DEFAULT_DIST_LINES", "DEFAULT_UNROLLS",
            "SearchSpace", "build_space", "SEARCHERS", "Searcher",
@@ -47,5 +45,4 @@ __all__ = ["DEFAULT_AES", "DEFAULT_DIST_LINES", "DEFAULT_UNROLLS",
            "BudgetLedger", "FairQueue", "InflightTable", "Scheduler",
            "TRACE_VERSION", "TraceEvents", "TraceWriter",
            "read_trace", "render_trace_summary", "TraceStream",
-           "summarize_trace", "STRATEGIES", "exhaustive_search",
-           "genetic_search", "random_search", "simulated_annealing"]
+           "summarize_trace"]

@@ -8,8 +8,8 @@ both through one ``concurrent.futures.ProcessPoolExecutor``:
 * **across jobs** — independent (kernel, machine, context, N) tuning
   runs fan out whole, one search per worker process
   (:meth:`TuningSession.run`);
-* **within a sweep** — a single search's candidate list fans out
-  per-evaluation (:meth:`TuningSession.tune` with ``jobs > 1``).
+* **within a sweep** — a single search's candidates fan out as
+  evaluation groups (:meth:`TuningSession.tune` with ``jobs > 1``).
 
 Parallelism never changes the answer: every search strategy (the
 ask/tell :class:`~repro.search.strategies.Searcher` protocol — line
@@ -43,6 +43,7 @@ the transport layer's business — this session for in-process callers,
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 import pathlib
@@ -50,7 +51,6 @@ import signal
 import tempfile
 import threading
 import time
-import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -183,93 +183,87 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
 
 
 # ---------------------------------------------------------------------------
-# pool workers (top-level so they pickle by name; the per-process
-# FKO/Timer pairs are memoized because every candidate of a sweep
-# shares them — bounded, because a long tune-all batch walks many
-# (machine, context, N) combinations through the same worker)
+# one candidate group: the only evaluation loop, serial or in a worker
 
-_WORKER_FKOS = LRUCache(maxsize=4)
-_WORKER_TOOLS = LRUCache(maxsize=8)
+class _Tools:
+    """Memoized FKO/Timer pairs — every candidate of a sweep shares
+    them.  One FKO per (machine, prefix_cache): its compile caches are
+    context-independent, so an (OOC, in-L2) sweep shares compiles; one
+    Timer (and its walk cache) per (machine, context, n, fast).
+    Bounded, because a long tune-all batch walks many (machine,
+    context, N) combinations through the same process."""
 
+    def __init__(self):
+        self._fkos = LRUCache(maxsize=4)
+        self._timers = LRUCache(maxsize=8)
 
-def _worker_tools(machine_name: str, context_value: str, n: int,
-                  fast: bool = True,
-                  prefix_cache: bool = True) -> Tuple[FKO, Timer]:
-    # the FKO is keyed by machine alone: its compile caches are
-    # context-independent, so sharing one instance across a job's
-    # contexts halves the distinct compiles of an (OOC, in-L2) sweep
-    fkey = (machine_name, bool(prefix_cache))
-    fko = _WORKER_FKOS.get(fkey)
-    if fko is None:
-        fko = FKO(get_machine(machine_name), prefix_cache=prefix_cache)
-        _WORKER_FKOS.put(fkey, fko)
-    tkey = (machine_name, context_value, int(n), bool(fast))
-    timer = _WORKER_TOOLS.get(tkey)
-    if timer is None:
-        timer = Timer(get_machine(machine_name), Context(context_value),
-                      n, fast=fast)
-        _WORKER_TOOLS.put(tkey, timer)
-    return fko, timer
-
-
-def _run_one(fko: FKO, timer: Timer, payload: Dict,
-             params: TransformParams) -> Dict:
-    t0 = time.perf_counter()
-    cycles, status, meta = evaluate_params(fko, timer, payload["hil"],
-                                           params, payload["flops"],
-                                           payload["ident"],
-                                           payload["timeout"],
-                                           observe=payload.get("observe",
-                                                               False),
-                                           verify_ir=payload.get("verify_ir",
-                                                                 False))
-    out = {"cycles": cycles, "status": status,
-           "wall": time.perf_counter() - t0, "fast": meta.get("fast")}
-    if payload.get("observe"):
-        out["passes"] = meta.get("passes")
-        out["attribution"] = meta.get("attribution")
-    return out
+    def get(self, machine: Union[str, MachineConfig], context: Context,
+            n: int, fast: bool, prefix_cache: bool) -> Tuple[FKO, Timer]:
+        # a MachineConfig is used as given; a name (what a pool
+        # payload carries) is resolved only on a miss
+        name = getattr(machine, "name", machine)
+        fkey = (name, bool(prefix_cache))
+        tkey = (name, context.value, int(n), bool(fast))
+        fko = self._fkos.get(fkey)
+        timer = self._timers.get(tkey)
+        if fko is None or timer is None:
+            if isinstance(machine, str):
+                machine = get_machine(machine)
+            if fko is None:
+                fko = FKO(machine, prefix_cache=prefix_cache)
+                self._fkos.put(fkey, fko)
+            if timer is None:
+                timer = Timer(machine, context, n, fast=fast)
+                self._timers.put(tkey, timer)
+        return fko, timer
 
 
-def _eval_worker(payload: Dict) -> Dict:
-    """Evaluate one candidate in a worker (within-sweep fan-out)."""
-    fko, timer = _worker_tools(payload["machine"], payload["context"],
-                               payload["n"], payload.get("fast", True),
-                               payload.get("prefix_cache", True))
+def _eval_group(fko: FKO, timer: Timer, payload: Dict,
+                params_list: Sequence[TransformParams]
+                ) -> Tuple[List[Dict], Dict[str, int]]:
+    """Evaluate candidates in order on one FKO/Timer pair.  Returns one
+    outcome per candidate (``evaluate_params``' meta plus cycles,
+    status and wall) and the group's compile-prefix / shared-walk
+    reuse-counter deltas."""
+    hil, flops, ident = payload["hil"], payload["flops"], payload["ident"]
+    timeout = payload["timeout"]
+    observe, verify_ir = payload["observe"], payload["verify_ir"]
     before = fko.cache_stats()
     tbefore = timer.cache_stats()
-    out = _run_one(fko, timer, payload,
-                   TransformParams.from_dict(payload["params"]))
+    outcomes = []
+    for params in params_list:
+        t0 = time.perf_counter()
+        cycles, status, meta = evaluate_params(fko, timer, hil, params,
+                                               flops, ident, timeout,
+                                               observe=observe,
+                                               verify_ir=verify_ir)
+        outcomes.append(dict(meta, cycles=cycles, status=status,
+                             wall=time.perf_counter() - t0))
     after = fko.cache_stats()
     tafter = timer.cache_stats()
-    out["batch_prefix_hits"] = after["prefix_hits"] - before["prefix_hits"]
-    out["batch_prefix_misses"] = (after["prefix_misses"]
-                                  - before["prefix_misses"])
-    out["batch_walk_hits"] = tafter["base_hits"] - tbefore["base_hits"]
-    return out
+    return outcomes, {
+        "batch_prefix_hits": after["prefix_hits"] - before["prefix_hits"],
+        "batch_prefix_misses": after["prefix_misses"]
+        - before["prefix_misses"],
+        "batch_walk_hits": tafter["base_hits"] - tbefore["base_hits"]}
 
 
-def _eval_group_worker(payload: Dict) -> Dict:
-    """Evaluate one prefix-sharing candidate group in a worker.  The
-    group shares the worker FKO's compile caches and the worker timer's
-    walk cache within a single payload, and ships the reuse-counter
-    deltas home so the parent's batch counters stay batch-wide."""
-    fko, timer = _worker_tools(payload["machine"], payload["context"],
-                               payload["n"], payload.get("fast", True),
-                               payload.get("prefix_cache", True))
-    before = fko.cache_stats()
-    tbefore = timer.cache_stats()
-    outcomes = [_run_one(fko, timer, payload,
-                         TransformParams.from_dict(p))
-                for p in payload["params_list"]]
-    after = fko.cache_stats()
-    tafter = timer.cache_stats()
-    return {"outcomes": outcomes,
-            "batch_prefix_hits": after["prefix_hits"]
-            - before["prefix_hits"],
-            "batch_prefix_misses": after["prefix_misses"]
-            - before["prefix_misses"],
-            "batch_walk_hits": tafter["base_hits"] - tbefore["base_hits"]}
+# pool workers are top-level so they pickle by name
+_WORKER_TOOLS = _Tools()
+
+
+def _eval_group_worker(payload: Dict) -> Tuple[List[Dict], Dict[str, int]]:
+    """Evaluate one candidate group in a worker (within-sweep fan-out)."""
+    fko, timer = _WORKER_TOOLS.get(payload["machine"],
+                                   Context(payload["context"]), payload["n"],
+                                   payload["fast"], payload["prefix_cache"])
+    return _eval_group(fko, timer, payload,
+                       [TransformParams.from_dict(p)
+                        for p in payload["params_list"]])
+
+
+#: TuneConfig fields a job worker never takes from the parent
+_PARENT_ONLY = ("jobs", "trace", "resume", "space", "start")
 
 
 def _job_worker(payload: Dict) -> Dict:
@@ -432,6 +426,16 @@ class _Evaluator:
         self.job = (f"{spec.name}:{machine.name.lower()}"
                     f":{context.value}:{n}")
         self.search: Optional[Searcher] = None   # set post-construction
+        config = session.config
+        # what a candidate group needs besides its params: the serial
+        # path reads the first six keys, a pool worker all of them
+        self.payload = {"hil": spec.hil, "flops": self.flops,
+                        "ident": self.ident, "timeout": config.timeout,
+                        "observe": config.observe,
+                        "verify_ir": config.verify_ir,
+                        "machine": machine.name, "context": context.value,
+                        "n": n, "fast": config.fast_timing,
+                        "prefix_cache": config.prefix_cache}
 
     def _phase(self) -> str:
         return self.search.phase if self.search is not None else ""
@@ -443,24 +447,13 @@ class _Evaluator:
     def __call__(self, params: TransformParams) -> float:
         return self.many([params])[0]
 
-    def _base_payload(self) -> Dict:
-        session = self.session
-        return {"hil": self.spec.hil, "machine": self.machine.name,
-                "context": self.context.value, "n": self.n,
-                "flops": self.flops, "ident": self.ident,
-                "timeout": session.config.timeout,
-                "fast": session.config.fast_timing,
-                "observe": session.config.observe,
-                "verify_ir": session.config.verify_ir,
-                "prefix_cache": session.config.prefix_cache}
-
     def _groups_to_run(self, batch: List[TransformParams],
                        groups: Optional[List[List[TransformParams]]],
                        to_run: List[int]) -> List[List[int]]:
         """Project the searcher's evaluation groups onto the indices
         that still need real evaluations (cache hits drop out), in
         group order.  Without groups, every candidate is its own
-        group — today's per-candidate dispatch."""
+        group."""
         if not groups:
             return [[i] for i in to_run]
         pos = {batch[i].key(): i for i in to_run}
@@ -475,12 +468,12 @@ class _Evaluator:
                    ("batch_prefix_misses", "repro_batch_prefix_misses_total"),
                    ("batch_walk_hits", "repro_batch_walk_hits_total"))
 
-    def _charge_batch(self, src: Dict) -> None:
-        """Fold a worker's (or the serial path's) cache-reuse counter
-        deltas into the session stats and the metrics registry."""
+    def _charge_batch(self, deltas: Dict[str, int]) -> None:
+        """Fold one ``_eval_group``'s cache-reuse counter deltas into
+        the session stats and the metrics registry."""
         stats = self.session.stats
         for key, metric in self._BATCH_KEYS:
-            v = int(src.get(key) or 0)
+            v = deltas[key]
             if v:
                 setattr(stats, key, getattr(stats, key) + v)
                 _metrics.inc(metric, v)
@@ -513,62 +506,30 @@ class _Evaluator:
                 _metrics.inc("repro_batch_groups_total", len(run_groups))
                 for idxs in run_groups:
                     _metrics.observe("repro_batch_group_size", len(idxs))
-        outcomes: Dict[int, Dict] = {}
 
+        # one payload per group; replies are charged only once the whole
+        # map has come back, so a pool dying mid-batch leaves nothing
+        # for the serial fallback to count twice
+        replies = None
         pool = session.pool() if len(to_run) > 1 else None
         if pool is not None:
-            base = self._base_payload()
+            payloads = [dict(self.payload,
+                             params_list=[batch[i].to_dict() for i in idxs])
+                        for idxs in run_groups]
             try:
-                if groups:
-                    payloads = [dict(base, params_list=[batch[i].to_dict()
-                                                        for i in idxs])
-                                for idxs in run_groups]
-                    replies = list(pool.map(_eval_group_worker, payloads))
-                    for idxs, reply in zip(run_groups, replies):
-                        self._charge_batch(reply)
-                        for i, outcome in zip(idxs, reply["outcomes"]):
-                            outcomes[i] = outcome
-                else:
-                    payloads = [dict(base, params=batch[i].to_dict())
-                                for i in to_run]
-                    for i, outcome in zip(to_run,
-                                          pool.map(_eval_worker, payloads)):
-                        self._charge_batch(outcome)
-                        outcomes[i] = outcome
+                replies = list(pool.map(_eval_group_worker, payloads))
             except BrokenProcessPool:
                 session.mark_pool_broken(self.job)
-                outcomes.clear()
-
-        if len(outcomes) < len(to_run):
-            # serial path, and fallback after a dead pool: evaluate in
-            # group order (prefix-sharing candidates adjacent), record
-            # in ask order below
-            before = self.fko.cache_stats()
-            tbefore = self.timer.cache_stats()
-            for idxs in run_groups:
-                for i in idxs:
-                    if i in outcomes:
-                        continue
-                    t0 = time.perf_counter()
-                    c, status, meta = evaluate_params(
-                        self.fko, self.timer, self.spec.hil, batch[i],
-                        self.flops, self.ident, session.config.timeout,
-                        observe=session.config.observe,
-                        verify_ir=session.config.verify_ir)
-                    outcomes[i] = {"cycles": c, "status": status,
-                                   "wall": time.perf_counter() - t0,
-                                   "fast": meta.get("fast"),
-                                   "passes": meta.get("passes"),
-                                   "attribution": meta.get("attribution")}
-            after = self.fko.cache_stats()
-            tafter = self.timer.cache_stats()
-            self._charge_batch({
-                "batch_prefix_hits": after["prefix_hits"]
-                - before["prefix_hits"],
-                "batch_prefix_misses": after["prefix_misses"]
-                - before["prefix_misses"],
-                "batch_walk_hits": tafter["base_hits"]
-                - tbefore["base_hits"]})
+        if replies is None:
+            # serial path, and fallback after a dead pool: the groups
+            # back to back (prefix-sharing candidates adjacent) as one
+            run_groups = [[i for idxs in run_groups for i in idxs]]
+            replies = [_eval_group(self.fko, self.timer, self.payload,
+                                   [batch[i] for i in run_groups[0]])]
+        outcomes: Dict[int, Dict] = {}
+        for idxs, (group_outcomes, deltas) in zip(run_groups, replies):
+            self._charge_batch(deltas)
+            outcomes.update(zip(idxs, group_outcomes))
 
         # record strictly in ask order, whoever computed the numbers —
         # trace rows, eval-cache writes and stats are order-identical
@@ -644,14 +605,7 @@ class TuningSession:
     """
 
     def __init__(self, config: Optional[TuneConfig] = None,
-                 buffer_events: bool = False, *,
-                 collect_events: Optional[bool] = None):
-        if collect_events is not None:
-            warnings.warn(
-                "TuningSession(collect_events=...) is deprecated and will "
-                "be removed after one release; use buffer_events=...",
-                DeprecationWarning, stacklevel=2)
-            buffer_events = collect_events
+                 buffer_events: bool = False):
         self.config = config or TuneConfig()
         self.cache = (EvalCache(self.config.cache_dir)
                       if self.config.cache_dir else None)
@@ -661,12 +615,8 @@ class TuningSession:
         # the scheduling layer owns the worker-pool lifecycle; the
         # session is just its first transport
         self.scheduler = Scheduler(self.config.jobs)
-        # FKO/Timer instances reused across the jobs of a batch (an FKO
-        # carries warm front-end/analysis/compile caches shared across
-        # contexts; a Timer holds the walk cache of one
-        # (machine, context, n))
-        self._fkos = LRUCache(maxsize=4)
-        self._tools = LRUCache(maxsize=8)
+        # FKO/Timer instances reused across the jobs of a batch
+        self._tools = _Tools()
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -707,24 +657,6 @@ class TuningSession:
     def drain_events(self) -> List[Dict]:
         return self._trace.drain() if self._trace is not None else []
 
-    def _session_tools(self, machine: MachineConfig,
-                       context: Context, n: int) -> Tuple[FKO, Timer]:
-        # one FKO per machine (its compile caches are context-free, so
-        # an (OOC, in-L2) sweep shares compiles); one Timer per
-        # (machine, context, n)
-        fko = self._fkos.get(machine.name)
-        if fko is None:
-            fko = FKO(machine, prefix_cache=self.config.prefix_cache)
-            self._fkos.put(machine.name, fko)
-        key = (machine.name, context.value, int(n),
-               self.config.fast_timing)
-        timer = self._tools.get(key)
-        if timer is None:
-            timer = Timer(machine, context, n,
-                          fast=self.config.fast_timing)
-            self._tools.put(key, timer)
-        return fko, timer
-
     # -- single-kernel tuning ------------------------------------------
     def tune(self, spec: Union[str, KernelSpec],
              machine: Union[str, MachineConfig], context: Context, n: int,
@@ -763,7 +695,8 @@ class TuningSession:
         machine = (get_machine(machine) if isinstance(machine, str)
                    else machine)
         config = self.config
-        fko, timer = self._session_tools(machine, context, n)
+        fko, timer = self._tools.get(machine, context, n, config.fast_timing,
+                                     config.prefix_cache)
         analysis = fko.analyze(spec.hil)
         space = config.space or build_space(
             analysis, machine, enable_block_fetch=config.enable_block_fetch,
@@ -868,7 +801,9 @@ class TuningSession:
         spec = get_kernel(spec) if isinstance(spec, str) else spec
         machine = (get_machine(machine) if isinstance(machine, str)
                    else machine)
-        fko, timer = self._session_tools(machine, context, n)
+        fko, timer = self._tools.get(machine, context, n,
+                                     self.config.fast_timing,
+                                     self.config.prefix_cache)
         compiled = fko.compile(spec.hil)   # params=None -> defaults
         timing = timer.time(compiled, spec)
         return TunedKernel(spec=spec, machine=machine, context=context, n=n,
@@ -987,24 +922,13 @@ class TuningSession:
             self.emit("job-error", job=key, error=errors[key])
 
     def _worker_config(self) -> Dict:
-        """The picklable TuneConfig subset a job worker rebuilds from
-        (space/start stay parent-side: batch jobs are registry kernels
-        whose space comes from their own analysis)."""
-        return {"max_evals": self.config.max_evals,
-                "run_tester": self.config.run_tester,
-                "cache_dir": self.config.cache_dir,
-                "timeout": self.config.timeout,
-                "enable_block_fetch": self.config.enable_block_fetch,
-                "min_gain": self.config.min_gain,
-                "strategy": self.config.strategy,
-                "seed": self.config.seed,
-                "fast_timing": self.config.fast_timing,
-                "observe": self.config.observe,
-                "verify_ir": self.config.verify_ir,
-                "test_best": self.config.test_best,
-                "batch_size": self.config.batch_size,
-                "prefix_cache": self.config.prefix_cache,
-                "warm_start": self.config.warm_start}
+        """The picklable TuneConfig subset a job worker rebuilds from:
+        every field but the parent-only ones (space/start stay
+        parent-side: batch jobs are registry kernels whose space comes
+        from their own analysis)."""
+        return {f.name: getattr(self.config, f.name)
+                for f in dataclasses.fields(TuneConfig)
+                if f.name not in _PARENT_ONLY}
 
     # -- checkpointing --------------------------------------------------
     def _load_checkpoint(self) -> Dict[str, Dict]:

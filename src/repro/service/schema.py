@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
 from .. import __version__
@@ -77,6 +77,13 @@ def history_digest(search: Optional[SearchResult]) -> Optional[str]:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+#: the request fields that name the problem; every other field is a
+#: search knob mapped onto its TuneConfig namesake
+_PROBLEM = ("kernel", "machine", "context", "n")
+#: request fields whose TuneConfig namesake is spelled differently
+_CONFIG_NAMES = {"budget": "max_evals", "test": "run_tester"}
+
+
 @dataclass
 class TuneRequest:
     """One tuning problem, canonicalized and digestible.
@@ -102,6 +109,11 @@ class TuneRequest:
     test: bool = True
 
     def __post_init__(self):
+        # coerce every bool/int/float knob to its default's type once,
+        # so canonical(), to_config() and digest() read clean values
+        for f in fields(self):
+            if type(f.default) in (bool, int, float):
+                setattr(self, f.name, type(f.default)(getattr(self, f.name)))
         if self.kernel not in REGISTRY:
             raise ValueError(f"unknown kernel {self.kernel!r}; the "
                              f"service tunes registry kernels")
@@ -119,15 +131,7 @@ class TuneRequest:
     # -- identity -------------------------------------------------------
     def canonical(self) -> Dict:
         """The digest-relevant fields in canonical form."""
-        return {"kernel": self.kernel, "machine": self.machine,
-                "context": self.context, "n": self.n,
-                "strategy": self.strategy, "seed": int(self.seed),
-                "budget": int(self.budget), "observe": bool(self.observe),
-                "verify_ir": bool(self.verify_ir),
-                "fast_timing": bool(self.fast_timing),
-                "min_gain": float(self.min_gain),
-                "enable_block_fetch": bool(self.enable_block_fetch),
-                "timeout": self.timeout, "test": bool(self.test)}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def digest(self) -> str:
         """Canonical request identity: every spelling of the same
@@ -149,15 +153,9 @@ class TuneRequest:
         ``cache_dir``, ``trace``, ``resume``) come from ``base`` — the
         daemon's own configuration."""
         base = base if base is not None else TuneConfig()
-        return base.replace(
-            max_evals=int(self.budget), strategy=self.strategy,
-            seed=int(self.seed), observe=bool(self.observe),
-            verify_ir=bool(self.verify_ir),
-            fast_timing=bool(self.fast_timing),
-            min_gain=float(self.min_gain),
-            enable_block_fetch=bool(self.enable_block_fetch),
-            timeout=self.timeout, run_tester=bool(self.test),
-            space=None, start=None, resume=None)
+        knobs = {_CONFIG_NAMES.get(k, k): v
+                 for k, v in self.canonical().items() if k not in _PROBLEM}
+        return base.replace(space=None, start=None, resume=None, **knobs)
 
     def to_dict(self) -> Dict:
         return {"schema": 1, **self.canonical()}
@@ -169,13 +167,8 @@ class TuneRequest:
         check_schema(data, "TuneRequest")
         if "kernel" not in data:
             raise ValueError("TuneRequest: missing required field 'kernel'")
-        kw = {}
-        for name in ("kernel", "machine", "context", "n", "strategy",
-                     "seed", "budget", "observe", "verify_ir",
-                     "fast_timing", "min_gain", "enable_block_fetch",
-                     "timeout", "test"):
-            if name in data:
-                kw[name] = data[name]
+        names = {f.name for f in fields(TuneRequest)}
+        kw = {k: v for k, v in data.items() if k in names}
         if "budget" not in kw and "max_evals" in data:
             kw["budget"] = data["max_evals"]
         return TuneRequest(**kw)

@@ -12,6 +12,7 @@ and the grouping/validation plumbing around them.
 import dataclasses
 import hashlib
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.machine.loopinfo import summarize
 from repro.qa import run_fuzz
 from repro.search import TuneConfig, TuningSession, build_space, make_searcher
 from repro.search.evalcache import eval_key
+from repro.service import history_digest
 from repro.timing.timer import Timer
 
 STRATEGIES = ("line", "random", "anneal", "genetic")
@@ -75,6 +77,51 @@ class TestBatchedBitIdentity:
         assert stats.batch_groups > 0
         assert stats.batch_size_total >= stats.batch_groups
         assert stats.batch_prefix_hits + stats.batch_prefix_misses > 0
+
+
+# ---------------------------------------------------------------------------
+# a pool that dies mid-batch: serial fallback, counted once
+
+class _DyingPool:
+    """Stands in for a process pool whose workers die mid-batch:
+    ``map`` yields one real reply, then raises ``BrokenProcessPool``."""
+
+    def map(self, fn, payloads):
+        payloads = list(payloads)
+        yield fn(payloads[0])
+        raise BrokenProcessPool("a worker died")
+
+    def shutdown(self, wait=False, cancel_futures=False):
+        pass
+
+
+_BATCH_COUNTERS = ("batch_prefix_hits", "batch_prefix_misses",
+                   "batch_walk_hits", "batch_groups", "batch_size_total")
+
+
+def _tune_with_pool(pool, batch_size):
+    cfg = TuneConfig(strategy="genetic", max_evals=10, seed=7,
+                     run_tester=False, batch_size=batch_size,
+                     jobs=1 if pool is None else 2)
+    with TuningSession(cfg, buffer_events=True) as s:
+        if pool is not None:
+            s.scheduler._pool = pool
+        tuned = s.tune("daxpy", "opteron", Context.OUT_OF_CACHE, 80000)
+        counters = {k: getattr(s.stats, k) for k in _BATCH_COUNTERS}
+        return history_digest(tuned.search), counters, s.drain_events()
+
+
+class TestPoolDeathMidBatch:
+    @pytest.mark.parametrize("batch_size", (1, 6))
+    def test_fallback_matches_serial_and_counts_once(self, batch_size):
+        """The reply that arrived before the pool died is discarded and
+        recomputed serially; its reuse counters must not be charged on
+        top of the fallback's."""
+        want_digest, want_counters, _ = _tune_with_pool(None, batch_size)
+        digest, counters, events = _tune_with_pool(_DyingPool(), batch_size)
+        assert any(e["event"] == "pool-broken" for e in events)
+        assert digest == want_digest
+        assert counters == want_counters
 
 
 # ---------------------------------------------------------------------------

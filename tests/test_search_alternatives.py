@@ -8,9 +8,7 @@ from repro.errors import SearchError
 from repro.fko import FKO, TransformParams
 from repro.kernels import get_kernel
 from repro.machine import Context, pentium4e
-from repro.search import (LineSearch, STRATEGIES, build_space,
-                          exhaustive_search, genetic_search, random_search,
-                          simulated_annealing)
+from repro.search import LineSearch, build_space, make_searcher
 from repro.timing.timer import Timer
 
 
@@ -37,54 +35,45 @@ def setup():
     return spec, a, space, start, evaluate
 
 
-ALL = [random_search, simulated_annealing, genetic_search]
+def _search(name, evaluate, space, start, max_evals, **opts):
+    return make_searcher(name, space, start, max_evals=max_evals,
+                         **opts).run(evaluate)
+
+
+# registry names; the ids keep the long-standing test names
+ALL = [pytest.param("random", id="random_search"),
+       pytest.param("anneal", id="simulated_annealing"),
+       pytest.param("genetic", id="genetic_search")]
 
 
 class TestStrategies:
     @pytest.mark.parametrize("strategy", ALL)
     def test_never_worse_than_start(self, strategy, setup):
         _, a, space, start, evaluate = setup
-        res = strategy(evaluate, space, start, max_evals=40, seed=3)
+        res = _search(strategy, evaluate, space, start, max_evals=40,
+                      seed=3)
         assert res.best_cycles <= res.start_cycles
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_budget_respected(self, strategy, setup):
         _, a, space, start, evaluate = setup
-        res = strategy(evaluate, space, start, max_evals=15, seed=1)
+        res = _search(strategy, evaluate, space, start, max_evals=15,
+                      seed=1)
         assert res.n_evaluations <= 15
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_zero_budget_rejected(self, strategy, setup):
         _, a, space, start, evaluate = setup
         with pytest.raises(SearchError):
-            strategy(evaluate, space, start, max_evals=0)
+            _search(strategy, evaluate, space, start, max_evals=0)
 
     @pytest.mark.parametrize("strategy", ALL)
     def test_deterministic_given_seed(self, strategy, setup):
         _, a, space, start, evaluate = setup
-        r1 = strategy(evaluate, space, start, max_evals=30, seed=9)
-        r2 = strategy(evaluate, space, start, max_evals=30, seed=9)
+        r1 = _search(strategy, evaluate, space, start, max_evals=30, seed=9)
+        r2 = _search(strategy, evaluate, space, start, max_evals=30, seed=9)
         assert r1.best_params.key() == r2.best_params.key()
         assert r1.best_cycles == r2.best_cycles
-
-    def test_registry_complete(self):
-        assert set(STRATEGIES) == {"random", "anneal", "genetic",
-                                   "exhaustive"}
-
-    def test_shims_warn_and_match_the_registry(self, setup):
-        """The functional wrappers are deprecated shims over
-        make_searcher: they must warn, and return bit-identical results
-        to a direct registry construction."""
-        from repro.search.strategies import make_searcher
-        _, a, space, start, evaluate = setup
-        with pytest.warns(DeprecationWarning, match="make_searcher"):
-            shimmed = random_search(evaluate, space, start,
-                                    max_evals=25, seed=7)
-        direct = make_searcher("random", space, start, max_evals=25,
-                               seed=7).run(evaluate)
-        assert shimmed.best_params.key() == direct.best_params.key()
-        assert shimmed.best_cycles == direct.best_cycles
-        assert shimmed.history == direct.history
 
 
 class TestAgainstExhaustive:
@@ -93,7 +82,8 @@ class TestAgainstExhaustive:
         sweep, the seeded line search finds (near-)optimal points at a
         fraction of the evaluations."""
         _, a, space, start, evaluate = setup
-        gold = exhaustive_search(evaluate, space, start, max_evals=100000)
+        gold = _search("exhaustive", evaluate, space, start,
+                       max_evals=100000)
         ls = LineSearch(space, start,
                         output_arrays=a.output_arrays).run(evaluate)
         # within noise of the exhaustive optimum...
@@ -103,7 +93,8 @@ class TestAgainstExhaustive:
 
     def test_exhaustive_covers_shared_distance_grid(self, setup):
         _, a, space, start, evaluate = setup
-        gold = exhaustive_search(evaluate, space, start, max_evals=100000)
+        gold = _search("exhaustive", evaluate, space, start,
+                       max_evals=100000)
         # sv(2) * wnt(1) * ur(3) * ae(2) * (1 + dists(3)*hints(3)) = 120
         assert gold.n_evaluations <= 2 * 1 * 3 * 2 * 10 + 1
         assert gold.n_evaluations > 50

@@ -110,6 +110,25 @@ class TestTuneRequestSchema:
         assert cfg.max_evals == 17 and cfg.seed == 4
         assert cfg.run_tester is False
 
+    @pytest.mark.parametrize("payload, want", [
+        ({"kernel": "ddot"},
+         "8bd26b72a6b226bcf7b504894811c46fdb2440391b8f0050daed8f6bcd88634b"),
+        ({"kernel": "dgemm", "machine": "opteron",
+          "context": "in-l2-cache", "n": 128, "strategy": "anneal",
+          "seed": 7, "budget": 33, "observe": True, "verify_ir": True,
+          "fast_timing": False, "min_gain": 0.01,
+          "enable_block_fetch": True, "timeout": 2.5, "test": False},
+         "775f486b4b29950dedb0654dcf563f04f5aa8b86f19fb2163c75dd0bcb485196"),
+        ({"kernel": "sasum", "max_evals": 12},
+         "dc98c760eecd700211898fc793892f2c949f0464dc0ea71058237835b667a2e5"),
+    ], ids=["defaults", "every-field", "max-evals-alias"])
+    def test_golden_digests(self, monkeypatch, payload, want):
+        """Request identity is load-bearing (dedup keys, stored
+        answers): pinned digests under a fixed version string."""
+        import repro.service.schema as schema
+        monkeypatch.setattr(schema, "__version__", "golden-fixed")
+        assert TuneRequest.from_dict(payload).digest() == want
+
     def test_response_roundtrip(self):
         resp = TuneResponse(digest="d" * 64, job_id="j-1", status="done",
                             result=None, stats={"evaluations": 3},
@@ -485,17 +504,3 @@ class TestCanonicalText:
 
         assert canon("%x.17 %y.3 %x.17") == "%x.0 %y.1 %x.0"
         assert canon("%a.5 %a.9") == "%a.0 %a.1"
-
-
-# ---------------------------------------------------------------------------
-# deprecation shim
-
-class TestDeprecations:
-    def test_collect_events_warns_and_still_buffers(self):
-        with pytest.warns(DeprecationWarning, match="buffer_events"):
-            s = TuningSession(_config(), collect_events=True)
-        try:
-            s.emit("eval", wall=0.0)
-            assert s.drain_events()
-        finally:
-            s.close()
