@@ -8,9 +8,10 @@ Usage::
     python -m repro.experiments --jobs 4 --cache-dir .repro-cache
 
 ``--jobs`` fans the tuning runs across worker processes and
-``--cache-dir`` persists both the per-figure summaries and the engine's
-per-evaluation cache, so a rerun reloads instead of re-tuning
-(``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` set the same defaults).
+``--cache-dir`` persists both the per-figure result rows (``rows/``)
+and the engine's per-evaluation cache (``evals/``), so a rerun reloads
+instead of re-tuning (``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` set the
+same defaults).
 """
 
 from __future__ import annotations

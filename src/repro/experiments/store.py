@@ -20,11 +20,14 @@ benchmark harness uses the paper sizes.
 Setting ``REPRO_CACHE_DIR`` (or passing ``cache_dir``) additionally
 persists results to disk as JSON, the way an ATLAS install records its
 search results: a second run of the experiment suite reloads instead of
-re-tuning.  The cache key includes the package version and problem
-sizes, so stale entries are never reused across code changes.  Since
-``SearchResult`` round-trips through JSON, ifko rows reload complete
-with their search detail; the engine's per-evaluation cache lives in an
-``evals/`` subdirectory of the same tree.
+re-tuning.  Rows are :class:`repro.records.RecordStore` records under
+``rows/``, each keyed by a SHA-256 over (package version, machine,
+context, N, kernel, method, strategy, seed), so a row is never reused
+across code changes or for another search.  A damaged row is a miss
+and is recomputed; a row the disk refuses leaves the cache cold.
+Since ``SearchResult`` round-trips through JSON, ifko rows reload
+complete with their search detail; the engine's per-evaluation cache
+lives in an ``evals/`` subdirectory of the same tree.
 
 Setting ``REPRO_SERVE_URL`` (or passing ``serve_url``) routes the ifko
 rows through a running ``repro serve`` daemon instead of the in-process
@@ -35,16 +38,19 @@ bit-identical answers, since the engine is deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .. import __version__
 from ..atlas import atlas_search
 from ..kernels import KERNEL_ORDER, get_kernel
 from ..machine import Context, canonical_machine
 from ..machine.config import MachineConfig
+from ..records import RecordStore
 from ..refcomp import ALL_COMPILERS
 from ..search import SearchResult, TuneConfig, TunedKernel, TuningSession
 
@@ -90,8 +96,8 @@ class ResultStore:
         if cache_dir is None:
             cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.rows = (RecordStore(self.cache_dir / "rows")
+                     if self.cache_dir is not None else None)
         if jobs is None:
             jobs = int(os.environ.get("REPRO_JOBS", "1") or 1)
         self.jobs = jobs
@@ -114,47 +120,36 @@ class ResultStore:
     # ------------------------------------------------------------------
     # optional JSON persistence (search results round-trip through
     # SearchResult.to_dict, so ifko rows reload with full detail)
-    def _disk_path(self, key) -> Optional[pathlib.Path]:
-        if self.cache_dir is None:
-            return None
-        from .. import __version__
+    def _row_key(self, key) -> str:
+        """SHA-256 over everything that produced the row."""
         mname, ctx, kernel, method = key
-        n = self.n_for(ctx)
-        # non-default strategy/seed runs are tagged so they never alias
-        # the canonical line-search rows (default filenames unchanged)
-        tag = ("" if (self.strategy, self.seed) == ("line", 0)
-               else f"_{self.strategy}{self.seed}")
-        fname = (f"v{__version__}_{mname}_{ctx.name}_{n}_{kernel}_"
-                 f"{method.replace('+', '_')}{tag}.json")
-        return self.cache_dir / fname
+        spec = [__version__, mname, ctx.value, self.n_for(ctx), kernel,
+                method, self.strategy, self.seed]
+        return hashlib.sha256(json.dumps(spec).encode()).hexdigest()
 
     def _load_disk(self, key) -> Optional[MethodResult]:
-        path = self._disk_path(key)
-        if path is None or not path.exists():
+        if self.rows is None:
             return None
+        data = self.rows.get(self._row_key(key))
         try:
-            data = json.loads(path.read_text())
-            search = (SearchResult.from_dict(data["search"])
-                      if data.get("search") else None)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError,
-                TypeError):
+            search = data.get("search")
+            return MethodResult(
+                method=data["method"], kernel=data["kernel"],
+                mflops=float(data["mflops"]), cycles=float(data["cycles"]),
+                label=data.get("label", ""),
+                starred=data.get("starred", False),
+                search=SearchResult.from_dict(search) if search else None)
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
-        return MethodResult(method=data["method"], kernel=data["kernel"],
-                            mflops=data["mflops"], cycles=data["cycles"],
-                            label=data.get("label", ""),
-                            starred=data.get("starred", False),
-                            search=search)
 
     def _save_disk(self, key, result: MethodResult) -> None:
-        path = self._disk_path(key)
-        if path is None:
+        if self.rows is None:
             return
-        data = {"method": result.method, "kernel": result.kernel,
-                "mflops": result.mflops, "cycles": result.cycles,
-                "label": result.label, "starred": result.starred,
-                "search": (result.search.to_dict()
-                           if result.search else None)}
-        path.write_text(json.dumps(data, indent=1))
+        self.rows.put(self._row_key(key), {
+            "method": result.method, "kernel": result.kernel,
+            "mflops": result.mflops, "cycles": result.cycles,
+            "label": result.label, "starred": result.starred,
+            "search": result.search.to_dict() if result.search else None})
 
     # ------------------------------------------------------------------
     def n_for(self, context: Context) -> int:

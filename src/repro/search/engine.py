@@ -44,11 +44,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import json
-import os
-import pathlib
 import signal
-import tempfile
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -65,6 +61,7 @@ from ..machine import Context, canonical_machine, get_machine, summarize
 from ..machine.config import MachineConfig
 from ..obs import metrics as _metrics
 from ..obs.core import Collector, use as _obs_use
+from ..records import read_json, write_json
 from ..timing.tester import test_kernel
 from ..timing.timer import Timer, paper_n
 from ..util import LRUCache
@@ -933,30 +930,13 @@ class TuningSession:
     # -- checkpointing --------------------------------------------------
     def _load_checkpoint(self) -> Dict[str, Dict]:
         path = self.config.resume
-        if not path or not os.path.exists(path):
-            return {}
-        try:
-            state = json.loads(pathlib.Path(path).read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if state.get("version") != __version__:
-            return {}   # results from another code version: recompute
-        return dict(state.get("completed", {}))
+        state = read_json(path) if path else None
+        if state is None or state.get("version") != __version__:
+            return {}   # absent, damaged, or another code version
+        completed = state.get("completed")
+        return dict(completed) if isinstance(completed, dict) else {}
 
     def _save_checkpoint(self, completed: Dict[str, Dict]) -> None:
-        path = self.config.resume
-        if not path:
-            return
-        target = pathlib.Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        state = {"version": __version__, "completed": completed}
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".ckpt-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(state, fh, indent=1)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        if self.config.resume:
+            write_json(self.config.resume,
+                       {"version": __version__, "completed": completed})

@@ -7,10 +7,9 @@ seeded from the same identity.  That makes evaluations perfectly
 cacheable *across runs and processes* — the way an ATLAS install
 records its search so a reinstall does not re-time the world.
 
-The cache is a directory of tiny JSON files named by the SHA-256 of the
-key tuple ``(hil_hash, machine, context, n, params.key(), __version__)``.
-One file per entry keeps concurrent writers trivially safe (each write
-is an atomic ``os.replace``), and including ``__version__`` in the key
+Each entry is one :class:`repro.records.RecordStore` record named by
+:func:`eval_key`, the SHA-256 of ``(hil_hash, machine, context, n,
+params.key(), __version__)``.  Including ``__version__`` in the key
 means stale entries are never reused across code changes — they are
 simply never looked up again.
 """
@@ -18,12 +17,10 @@ simply never looked up again.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import os
-import pathlib
-import tempfile
 from typing import Dict, Optional, Tuple
+
+from ..records import RecordStore
 
 
 def eval_key(hil: str, machine_name: str, context, n: int,
@@ -40,72 +37,30 @@ def eval_key(hil: str, machine_name: str, context, n: int,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-class EvalCache:
+class EvalCache(RecordStore):
     """Disk dictionary: evaluation digest -> cycle count."""
 
-    def __init__(self, root: str):
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    def _path(self, digest: str) -> pathlib.Path:
-        return self.root / digest[:2] / f"{digest}.json"
-
     def get(self, digest: str) -> Optional[float]:
-        """Cycles for ``digest``, or None (corrupt entries count as
+        """Cycles for ``digest``, or None (damaged entries count as
         misses and are recomputed, never raised).  Non-finite cycle
         counts are corrupt by definition — a NaN/inf served as a hit
         would poison every search that touches the entry — so they too
         count as misses and are recomputed."""
         try:
-            data = json.loads(self._path(digest).read_text())
-            cycles = float(data["cycles"])
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
+            cycles = float(super().get(digest)["cycles"])
+        except (KeyError, TypeError, ValueError):
             return None
-        if not math.isfinite(cycles):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return cycles
+        return cycles if math.isfinite(cycles) else None
 
     def put(self, digest: str, cycles: float,
-            meta: Optional[Dict] = None) -> None:
-        """Record an evaluation.  Atomic (write-then-rename), so a
-        concurrent reader sees either nothing or the full entry.
-        Non-finite cycle counts are refused outright: failed
-        evaluations (``inf``) are not measurements, and persisting one
-        would poison searches across runs."""
+            meta: Optional[Dict] = None) -> bool:
+        """Record an evaluation; False if the disk refused it (the
+        cache is then merely cold).  Non-finite cycle counts are
+        refused outright: failed evaluations (``inf``) are not
+        measurements, and persisting one would poison searches across
+        runs."""
         if not math.isfinite(cycles):
-            return
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
+            return False
         data = dict(meta or {})
         data["cycles"] = float(cycles)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(data, fh)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return   # a cache that cannot write is merely cold
-        self.stores += 1
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def clear(self) -> int:
-        n = 0
-        for f in self.root.glob("*/*.json"):
-            try:
-                f.unlink()
-                n += 1
-            except OSError:
-                pass
-        return n
+        return super().put(digest, data)

@@ -30,15 +30,14 @@ processes and filesystems.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import pathlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..fko.params import TransformParams
 from ..machine.config import canonical_machine
+from ..records import RecordStore
 
 __all__ = ["WarmEntry", "load_entries", "lookup_warm_start",
            "write_warm_entry"]
@@ -90,13 +89,11 @@ def _kernel_base(kernel: str) -> str:
 
 # -- reading a store ----------------------------------------------------
 
-def _parse_entry(data, source: str) -> Optional[WarmEntry]:
-    """One store file -> a :class:`WarmEntry`, or None for anything
+def _parse_entry(data: Dict, source: str) -> Optional[WarmEntry]:
+    """One stored record -> a :class:`WarmEntry`, or None for anything
     unusable (wrong shape, failed request, undecodable params).  Both
     the :class:`TuneResponse` envelope and a bare ``TunedKernel`` dict
     are accepted."""
-    if not isinstance(data, dict):
-        return None
     result = data.get("result") if isinstance(data.get("result"), dict) \
         else data
     kernel = result.get("kernel")
@@ -131,19 +128,9 @@ def load_entries(root) -> List[WarmEntry]:
     directory), in deterministic (sorted-path) order.  A missing or
     empty directory is an empty list, never an error — warm-starting is
     always best-effort."""
-    rootp = pathlib.Path(root)
-    if not rootp.is_dir():
-        return []
-    entries: List[WarmEntry] = []
-    for path in sorted(rootp.rglob("*.json")):
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        entry = _parse_entry(data, path.name)
-        if entry is not None:
-            entries.append(entry)
-    return entries
+    entries = (_parse_entry(data, path.name)
+               for path, data in RecordStore(root).records())
+    return [entry for entry in entries if entry is not None]
 
 
 # -- the neighbor metric ------------------------------------------------
@@ -198,10 +185,10 @@ def lookup_warm_start(root, kernel: str, machine, context,
 def write_warm_entry(root, kernel: str, machine, context, n,
                      params: TransformParams, cycles: float,
                      extra: Optional[Dict] = None) -> pathlib.Path:
-    """Record one tuned result in the serve result-store layout
-    (``root/<digest[:2]>/<digest>.json`` keyed by the canonical
-    request digest), so benchmarks and tests can build warm stores
-    without running a daemon.  Returns the written path."""
+    """Record one tuned result as a serve result-store record keyed by
+    the canonical request digest, so benchmarks and tests can build
+    warm stores without running a daemon.  Returns the written path;
+    raises :class:`OSError` when the disk refuses the write."""
     from ..service.schema import TuneRequest
     request = TuneRequest(kernel=kernel,
                           machine=getattr(machine, "name", machine),
@@ -218,9 +205,7 @@ def write_warm_entry(root, kernel: str, machine, context, n,
                         "search": {"best_cycles": float(cycles)}}}
     if extra:
         entry["result"].update(extra)
-    target = pathlib.Path(root) / digest[:2] / f"{digest}.json"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_suffix(".tmp")
-    tmp.write_text(json.dumps(entry, indent=1, sort_keys=True))
-    os.replace(tmp, target)
-    return target
+    store = RecordStore(root)
+    if not store.put(digest, entry):
+        raise OSError(f"cannot write warm entry {digest} under {root}")
+    return store.path(digest)

@@ -27,10 +27,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
-import os
-import pathlib
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -41,6 +37,7 @@ from ..fko import FKO, TransformParams
 from ..kernels import get_kernel
 from ..machine import Context, get_machine
 from ..obs import metrics as _metrics
+from ..records import RecordStore, read_json
 from ..search.config import TuneConfig
 from ..search.engine import TuningSession
 from ..search.scheduler import BudgetLedger, FairQueue, InflightTable
@@ -87,59 +84,30 @@ class ServeJob:
         return out
 
 
-class ServeResultStore:
+class ServeResultStore(RecordStore):
     """Persistent request-digest -> :class:`TuneResponse` store.
 
-    The same one-tiny-JSON-file-per-entry shape as the evaluation cache
-    (atomic ``os.replace`` writes, digest-prefix subdirectories), one
-    level up: where the eval cache remembers single candidate timings,
-    this remembers whole answered requests, so a daemon restart — or a
-    different daemon pointed at the same directory — keeps answering
-    repeats instantly."""
+    Where the eval cache remembers single candidate timings, this
+    remembers whole answered requests, one record per
+    :meth:`TuneRequest.digest`, so a daemon restart — or a different
+    daemon pointed at the same directory — keeps answering repeats
+    instantly.  A record that does not parse as a response is a miss."""
 
-    def __init__(self, root: str):
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, digest: str) -> pathlib.Path:
-        return self.root / digest[:2] / f"{digest}.json"
-
-    def get(self, digest: str) -> Optional[Dict]:
+    def get(self, digest: str) -> Optional[TuneResponse]:
         try:
-            data = json.loads(self._path(digest).read_text())
-        except (OSError, json.JSONDecodeError):
+            return TuneResponse.from_dict(super().get(digest))
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
-        return data if isinstance(data, dict) else None
 
-    def put(self, digest: str, response: TuneResponse) -> None:
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(response.to_dict(), fh)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+    def put(self, digest: str, response: TuneResponse) -> bool:
+        return super().put(digest, response.to_dict())
 
     def list(self, limit: Optional[int] = None) -> List[Dict]:
-        paths = sorted(self.root.glob("*/*.json"),
-                       key=lambda p: p.stat().st_mtime, reverse=True)
-        out = []
-        for p in paths[:limit] if limit else paths:
-            try:
-                data = json.loads(p.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(data, dict):
-                out.append(data)
-        return out
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        """Stored response dicts, most recently written first."""
+        paths = sorted(self._files(), key=lambda p: p.stat().st_mtime,
+                       reverse=True)
+        records = (read_json(p) for p in (paths[:limit] if limit else paths))
+        return [data for data in records if data is not None]
 
 
 class JobManager:
@@ -222,24 +190,19 @@ class JobManager:
                     return job, "cached"
             # persisted by an earlier run (or another daemon)?
             if self.store is not None:
-                data = self.store.get(digest)
-                if data is not None:
-                    try:
-                        response = TuneResponse.from_dict(data)
-                    except (ValueError, KeyError, TypeError):
-                        response = None
-                    if response is not None and response.ok:
-                        job = self._admit(request)
-                        response.served_from = "store"
-                        response.job_id = job.id
-                        job.response = response
-                        job.state = DONE
-                        job.finished = time.time()
-                        self._done_by_digest[digest] = job.id
-                        self.cache_answers += 1
-                        _metrics.inc("repro_requests_total", how="cached")
-                        self.cond.notify_all()
-                        return job, "cached"
+                response = self.store.get(digest)
+                if response is not None and response.ok:
+                    job = self._admit(request)
+                    response.served_from = "store"
+                    response.job_id = job.id
+                    job.response = response
+                    job.state = DONE
+                    job.finished = time.time()
+                    self._done_by_digest[digest] = job.id
+                    self.cache_answers += 1
+                    _metrics.inc("repro_requests_total", how="cached")
+                    self.cond.notify_all()
+                    return job, "cached"
             # fresh work: claim the digest and queue fairly (all
             # submitters hold the manager lock, so the claim is ours)
             if self.ledger.exhausted():

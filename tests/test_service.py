@@ -285,17 +285,9 @@ class TestServeResultStore:
         resp = TuneResponse(digest="ab" + "0" * 62, job_id="j-1",
                             status="done", stats={})
         store.put(resp.digest, resp)
-        assert store.get(resp.digest)["digest"] == resp.digest
+        assert store.get(resp.digest).to_dict() == resp.to_dict()
         assert store.get("ff" + "0" * 62) is None
-        assert len(store) == 1 and len(store.list()) == 1
-
-    def test_corrupt_entry_is_skipped(self, tmp_path):
-        store = ServeResultStore(str(tmp_path))
-        bad = store._path("cd" + "0" * 62)
-        bad.parent.mkdir(parents=True, exist_ok=True)
-        bad.write_text("NOT JSON")
-        assert store.get("cd" + "0" * 62) is None
-        assert store.list() == []
+        assert len(store) == 1 and store.list() == [resp.to_dict()]
 
 
 # ---------------------------------------------------------------------------

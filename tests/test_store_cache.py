@@ -1,11 +1,12 @@
 """Tests for the experiment store's optional disk persistence."""
 
 import json
-import pathlib
+import os
 
 import pytest
 
-from repro.experiments.store import MethodResult, ResultStore
+import repro.experiments.store as store_mod
+from repro.experiments.store import ResultStore
 from repro.machine import Context, pentium4e
 
 
@@ -13,20 +14,39 @@ class TestDiskCache:
     def test_writes_and_reloads(self, tmp_path):
         s1 = ResultStore(quick=True, cache_dir=str(tmp_path))
         r1 = s1.get(pentium4e(), Context.IN_L2, "sscal", "FKO")
-        files = list(tmp_path.glob("*.json"))
+        files = list((tmp_path / "rows").glob("*/*.json"))
         assert len(files) == 1
         s2 = ResultStore(quick=True, cache_dir=str(tmp_path))
         r2 = s2.get(pentium4e(), Context.IN_L2, "sscal", "FKO")
         assert r2.mflops == r1.mflops
         assert r2.cycles == r1.cycles
 
-    def test_filename_carries_version_and_size(self, tmp_path):
-        from repro import __version__
-        s = ResultStore(quick=True, cache_dir=str(tmp_path))
-        s.get(pentium4e(), Context.IN_L2, "sscal", "gcc+ref")
-        name = next(tmp_path.glob("*.json")).name
-        assert f"v{__version__}" in name
-        assert "1024" in name and "sscal" in name
+    def test_version_size_and_search_change_the_record(self, tmp_path,
+                                                       monkeypatch):
+        def records():
+            return set((tmp_path / "rows").glob("*/*.json"))
+
+        def row(store):
+            store.get(pentium4e(), Context.IN_L2, "sscal", "gcc+ref")
+            return records()
+
+        seen = row(ResultStore(quick=True, cache_dir=str(tmp_path)))
+        assert len(seen) == 1
+        # the same spec again: the same record
+        assert row(ResultStore(quick=True, cache_dir=str(tmp_path))) == seen
+        # another N, another searcher, another code version: a new
+        # record each, never an alias of the first
+        other_n = ResultStore(quick=True, cache_dir=str(tmp_path))
+        other_n.sizes[Context.IN_L2] = 2048
+        for store in (other_n,
+                      ResultStore(quick=True, cache_dir=str(tmp_path),
+                                  strategy="random", seed=3)):
+            now = row(store)
+            assert len(now) == len(seen) + 1
+            seen = now
+        monkeypatch.setattr(store_mod, "__version__", "0.0.0-other")
+        assert len(row(ResultStore(quick=True,
+                                   cache_dir=str(tmp_path)))) == 4
 
     def test_ifko_not_reloaded_from_disk(self, tmp_path):
         """ifko results carry SearchResult detail that the JSON summary
@@ -38,14 +58,37 @@ class TestDiskCache:
         r2 = s2.get(pentium4e(), Context.IN_L2, "sscal", "ifko")
         assert r2.search is not None   # recomputed, not a summary
 
-    def test_corrupt_cache_file_ignored(self, tmp_path):
-        s = ResultStore(quick=True, cache_dir=str(tmp_path))
-        s.get(pentium4e(), Context.IN_L2, "sscal", "FKO")
-        f = next(tmp_path.glob("*.json"))
-        f.write_text("{ not json")
-        s2 = ResultStore(quick=True, cache_dir=str(tmp_path))
-        r = s2.get(pentium4e(), Context.IN_L2, "sscal", "FKO")
-        assert r.mflops > 0  # silently recomputed
+    @pytest.mark.parametrize("bad", ["{}", "[1, 2]"])
+    def test_malformed_row_is_recomputed(self, tmp_path, bad):
+        # a record that parses as JSON but has the wrong shape used to
+        # raise out of get() (KeyError / AttributeError)
+        args = (pentium4e(), Context.IN_L2, "sscal", "gcc+ref")
+        good = ResultStore(quick=True, cache_dir=str(tmp_path)).get(*args)
+        (row,) = tmp_path.rglob("*.json")
+        row.write_text(bad)
+        again = ResultStore(quick=True, cache_dir=str(tmp_path)).get(*args)
+        assert again == good
+        assert json.loads(row.read_text())["cycles"] == good.cycles
+
+    def test_unwritable_cache_dir_leaves_cache_cold(self, tmp_path,
+                                                    monkeypatch):
+        # the row used to be written with a plain write_text, outside
+        # the atomic temp-file-and-rename path every other store uses:
+        # a refused write must not abort the run, must not land a row
+        # and must not leave a temp file behind
+        def refuse(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        args = (pentium4e(), Context.IN_L2, "sscal", "gcc+ref")
+        r = ResultStore(quick=True, cache_dir=str(tmp_path)).get(*args)
+        assert r.mflops > 0
+        assert list(tmp_path.rglob("*.json")) == []
+        assert list(tmp_path.rglob(".tmp-*")) == []
+        monkeypatch.undo()
+        assert ResultStore(quick=True,
+                           cache_dir=str(tmp_path)).get(*args) == r
+        assert len(list(tmp_path.rglob("*.json"))) == 1
 
     def test_no_cache_dir_means_memory_only(self):
         s = ResultStore(quick=True, cache_dir=None)
