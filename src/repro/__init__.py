@@ -44,14 +44,15 @@ from .fko import (FKO, CompiledKernel, KernelAnalysis, PrefetchParams,
 from .hil import compile_hil
 from .kernels import KERNEL_ORDER, KernelSpec, all_kernels, get_kernel
 from .machine import (Context, MachineConfig, get_machine, opteron,
-                      pentium4e, run_function, summarize, time_kernel)
+                      parse_context, pentium4e, run_function, summarize,
+                      time_kernel)
 from . import obs
 from .search import (BatchResult, LineSearch, Searcher, SearchResult,
                      TuneConfig, TunedKernel, TuningJob, TuningSession,
                      build_space, compile_default, make_searcher,
                      registry_jobs, searcher_names, tune_kernel)
 from .timing import Timer, test_kernel
-from .timing.timer import paper_n
+from .timing.timer import default_n, paper_n
 from .service import TuneRequest, TuneResponse, history_digest
 from .client import (LocalClient, ServeClient, ServiceError, TuneClient,
                      make_client)
@@ -60,14 +61,14 @@ from .client import (LocalClient, ServeClient, ServiceError, TuneClient,
 # ---------------------------------------------------------------------------
 # the three-verb public API: repro.tune / repro.compile / repro.analyze.
 # Thin coercing fronts over the full drivers — kernels, machines and
-# contexts may be given by registry name, N defaults to the paper's
-# problem size for the context.
+# contexts may be given by name (any ``parse_context`` spelling), and N
+# defaults to ``default_n`` for the kernel and context.
 
-def _coerce(kernel, machine, context):
+def _coerce(kernel, machine, context, n):
     spec = get_kernel(kernel) if isinstance(kernel, str) else kernel
     mach = get_machine(machine) if isinstance(machine, str) else machine
-    ctx = context if isinstance(context, Context) else Context(context)
-    return spec, mach, ctx
+    ctx = parse_context(context)
+    return spec, mach, ctx, n if n is not None else default_n(spec, ctx)
 
 
 def tune(kernel, machine="p4e", context=Context.OUT_OF_CACHE,
@@ -75,8 +76,8 @@ def tune(kernel, machine="p4e", context=Context.OUT_OF_CACHE,
     """Empirically tune one kernel (ifko: analysis -> search -> best).
 
     ``kernel``/``machine``/``context`` accept registry names ("ddot",
-    "p4e", "out-of-cache") or the full objects; ``n`` defaults to the
-    paper's problem size for the context.  Keyword ``options`` are
+    "p4e", "out-of-cache" or "oc") or the full objects; ``n`` defaults
+    to ``default_n(kernel, context)``.  Keyword ``options`` are
     :class:`TuneConfig` fields (``strategy="anneal"``, ``seed=3``,
     ``max_evals=100``, ...); pass ``config=TuneConfig(...)`` instead to
     reuse a prepared configuration (the two are mutually exclusive).
@@ -84,19 +85,15 @@ def tune(kernel, machine="p4e", context=Context.OUT_OF_CACHE,
     if config is not None and options:
         raise TypeError("pass either config= or TuneConfig field "
                         "keywords, not both")
-    spec, mach, ctx = _coerce(kernel, machine, context)
     cfg = config if config is not None else TuneConfig(**options)
-    return tune_kernel(spec, mach, ctx, n if n is not None else paper_n(ctx),
-                       config=cfg)
+    return tune_kernel(*_coerce(kernel, machine, context, n), config=cfg)
 
 
 def compile(kernel, machine="p4e", context=Context.OUT_OF_CACHE,  # noqa: A001
             n=None, config=None) -> TunedKernel:
     """Compile one kernel with FKO's static defaults (no search) and
     time it — the "FKO" baseline :func:`tune` is measured against."""
-    spec, mach, ctx = _coerce(kernel, machine, context)
-    return compile_default(spec, mach, ctx,
-                           n if n is not None else paper_n(ctx),
+    return compile_default(*_coerce(kernel, machine, context, n),
                            config=config)
 
 

@@ -42,6 +42,7 @@ bit-identical by construction.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -53,15 +54,14 @@ from .ir import PrefetchHint, emit_att, format_function
 from .kernels import KERNEL_ORDER, REGISTRY, get_kernel
 from .kernels.blas3 import BLAS3_ORDER
 from .kernels.blas1 import KernelSpec
-from .machine import Context, get_machine
+from .machine import Context, get_machine, parse_context
 from .obs import (aggregate_curves, collect_curves, curves_document,
                   diff_metrics, load_artifact, render_curves_markdown,
                   render_diff, render_report, write_perfetto)
 from .search import (TraceStream, TuneConfig, TuningSession, read_trace,
-                     registry_jobs, render_trace_summary, searcher_names,
-                     summarize_trace)
+                     registry_jobs, render_trace_summary, summarize_trace)
 from .timing.tester import test_function
-from .timing.timer import paper_n
+from .timing.timer import default_n
 
 
 def _load_source(name_or_path: str) -> Tuple[str, Optional[KernelSpec]]:
@@ -75,30 +75,6 @@ def _load_source(name_or_path: str) -> Tuple[str, Optional[KernelSpec]]:
     raise SystemExit(
         f"error: {name_or_path!r} is neither a built-in kernel "
         f"({', '.join(KERNEL_ORDER)}) nor a .hil file")
-
-
-def _context(value: str) -> Context:
-    if value.lower() in ("oc", "ooc", "out", "out-of-cache"):
-        return Context.OUT_OF_CACHE
-    if value.lower() in ("ic", "inl2", "in-l2", "in-cache"):
-        return Context.IN_L2
-    raise argparse.ArgumentTypeError(f"unknown context {value!r}")
-
-
-def _jobs(value: str) -> int:
-    jobs = int(value)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def _strategy(value: str) -> str:
-    from .search import valid_strategy
-    if not valid_strategy(value):
-        raise argparse.ArgumentTypeError(
-            f"unknown strategy {value!r}; valid: "
-            f"{', '.join(searcher_names())} (or transfer:<strategy>)")
-    return value
 
 
 def _parse_prefetch(items) -> dict:
@@ -182,27 +158,116 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _engine_config(args, run_tester: bool) -> TuneConfig:
-    """TuneConfig from the shared engine flags."""
-    return TuneConfig(max_evals=args.max_evals,
-                      run_tester=run_tester,
-                      strategy=getattr(args, "strategy", "line"),
-                      seed=getattr(args, "seed", 0),
-                      jobs=args.jobs,
-                      cache_dir=args.cache_dir,
-                      trace=args.trace_out,
-                      timeout=args.timeout,
-                      resume=getattr(args, "resume", None),
-                      enable_block_fetch=getattr(args, "enable_block_fetch",
-                                                 False),
-                      fast_timing=not getattr(args, "no_fast_timing", False),
-                      batch_size=getattr(args, "batch_size", 1),
-                      prefix_cache=not getattr(args, "no_prefix_cache",
-                                               False),
-                      observe=getattr(args, "observe", False),
-                      verify_ir=getattr(args, "verify_ir", False),
-                      test_best=getattr(args, "test_best", False),
-                      warm_start=getattr(args, "warm_start", None))
+# ---------------------------------------------------------------------------
+# engine flags: generated from the TuneConfig fields
+
+#: flag spellings other than ``--<field-name>`` / ``--no-<field-name>``
+_FLAG_NAMES = {"jobs": ("--jobs", "-j"), "trace": ("--trace-out",),
+               "run_tester": ("--test",)}
+#: the fields ``tune-all`` takes as flags: all but the live objects
+#: ``space`` and ``start`` and the library-only ``min_gain``
+_ENGINE_FLAGS = tuple(f.name for f in dataclasses.fields(TuneConfig)
+                      if f.name not in ("space", "start", "min_gain"))
+#: ``tune`` checks registry kernels always and user sources never, and
+#: tunes one problem (nothing to checkpoint)
+_TUNE_FLAGS = tuple(n for n in _ENGINE_FLAGS
+                    if n not in ("run_tester", "resume"))
+
+
+def _flags(f: dataclasses.Field) -> Tuple[str, ...]:
+    """The CLI spelling of one TuneConfig field: dashes for
+    underscores, ``--no-`` for a bool that defaults to True."""
+    if f.name in _FLAG_NAMES:
+        return _FLAG_NAMES[f.name]
+    prefix = "--no-" if f.default is True else "--"
+    return (prefix + f.name.replace("_", "-"),)
+
+
+def _flag_type(f: dataclasses.Field):
+    """A flag's value type: its default's, else X of ``Optional[X]``."""
+    if f.default is not None:
+        return type(f.default)
+    inner = f.type.removeprefix("Optional[").removesuffix("]")
+    return {"int": int, "float": float}.get(inner, str)
+
+
+def add_config_flags(p, names) -> None:
+    """One flag per TuneConfig field in ``names``: default, type and
+    help all come from the field."""
+    for f in dataclasses.fields(TuneConfig):
+        if f.name not in names:
+            continue
+        flags, help = _flags(f), f.metadata["help"]
+        if isinstance(f.default, bool):
+            off = flags[0].startswith("--no-")
+            p.add_argument(*flags, dest=f.name, help=("turn off " + help
+                                                      if off else help),
+                           action="store_false" if off else "store_true")
+        else:
+            p.add_argument(*flags, dest=f.name, type=_flag_type(f),
+                           default=f.default, help=help)
+
+
+def _engine_config(args, **overrides) -> TuneConfig:
+    """TuneConfig from the parsed engine flags; an invalid value is a
+    clean ``error:`` exit."""
+    knobs = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(TuneConfig) if hasattr(args, f.name)}
+    try:
+        return TuneConfig(**{**knobs, **overrides})
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
+def _note_engine_knobs(args, config: TuneConfig) -> None:
+    """With ``--serve-url`` the daemon runs its own engine: say which
+    engine-side flags set here it ignores."""
+    from .service.schema import ENGINE_KNOBS
+    ignored = [_flags(f)[0] for f in dataclasses.fields(TuneConfig)
+               if f.name in ENGINE_KNOBS and hasattr(args, f.name)
+               and getattr(config, f.name) != f.default]
+    if ignored:
+        print(f"# note: the daemon at --serve-url runs its own engine and "
+              f"ignores the engine-side {', '.join(ignored)}")
+
+
+def _print_tuned(args, tuned, config: TuneConfig, stats: dict,
+                 served: str = "") -> None:
+    """The result lines of one ``repro tune``, whichever path ran it."""
+    result = tuned.search
+    via = f" (via {args.serve_url})" if args.serve_url else ""
+    print(f"# ifko: {args.kernel} on {tuned.machine.name}, "
+          f"{tuned.context.value}, N={tuned.n}{via}")
+    print(f"# strategy: {config.strategy} (seed {config.seed})")
+    if served:
+        print(served)
+    print(f"# evaluations: {result.n_evaluations}, "
+          f"speedup over FKO defaults: {result.speedup_over_start:.2f}x")
+    hits = stats.get("cache_hits", 0)
+    if hits:
+        print(f"# evaluation cache: {hits} hits, "
+              f"{stats.get('evaluations', 0)} computed")
+    print(f"# best parameters: {result.best_params.describe()}")
+    print(f"# performance: {tuned.timing.mflops:.1f} model-MFLOPS")
+    gains = [(p, g) for p, g in result.phase_speedups().items()
+             if abs(g - 1) > 0.002]
+    if gains:
+        print("# gains: " + "  ".join(f"{p}={100 * (g - 1):+.1f}%"
+                                      for p, g in gains))
+    if args.asm:
+        print(emit_att(tuned.compiled.fn))
+    elif args.verbose:
+        print(format_function(tuned.compiled.fn))
+
+
+def _print_row(key: str, width: int, outcome, note: str = "") -> None:
+    """One ``repro tune-all`` row: a tuned kernel or an error message."""
+    if isinstance(outcome, str):
+        print(f"  {key:{width}s}  ERROR: {outcome}")
+        return
+    evals = outcome.search.n_evaluations if outcome.search else 0
+    print(f"  {key:{width}s}  {outcome.mflops:8.1f} MFLOPS  "
+          f"evals={evals:<4d} {outcome.params.describe()}{note}")
 
 
 def _file_spec(source: str, name: str, elem_size: int) -> KernelSpec:
@@ -218,7 +283,7 @@ def _file_spec(source: str, name: str, elem_size: int) -> KernelSpec:
 def cmd_tune(args) -> int:
     if args.kernel in REGISTRY:
         return _tune_service(args)
-    if getattr(args, "serve_url", None):
+    if args.serve_url:
         raise SystemExit("error: --serve-url tunes registry kernels only "
                          "(a daemon cannot load local .hil files)")
     return _tune_file_direct(args)
@@ -230,55 +295,23 @@ def _tune_service(args) -> int:
     one code path, bit-identical answers."""
     from .client import ServiceError, make_client
     from .service import TuneRequest
+    config = _engine_config(args)
     try:
-        request = TuneRequest(
-            kernel=args.kernel, machine=args.machine, context=args.context,
-            n=args.n, strategy=args.strategy, seed=args.seed,
-            budget=args.max_evals, observe=args.observe,
-            verify_ir=args.verify_ir,
-            fast_timing=not args.no_fast_timing,
-            enable_block_fetch=args.enable_block_fetch,
-            timeout=args.timeout, test=True)
+        request = TuneRequest.from_config(args.kernel, args.machine,
+                                          args.context, args.n, config)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    config = _engine_config(args, run_tester=True)
-    if getattr(args, "serve_url", None) and config.warm_start:
-        print("# note: --warm-start is an engine-side knob; the daemon "
-              "at --serve-url tunes without it")
+    if args.serve_url:
+        _note_engine_knobs(args, config)
     try:
-        with make_client(getattr(args, "serve_url", None),
-                         config=config) as client:
+        with make_client(args.serve_url, config=config) as client:
             response = client.tune(request)
     except ServiceError as exc:
         raise SystemExit(f"error: {exc}")
-    tuned = response.tuned()
-    result = tuned.search
-
-    print(f"# ifko: {args.kernel} on {tuned.machine.name}, "
-          f"{request.context}, N={request.n}"
-          + (f" (via {args.serve_url})"
-             if getattr(args, "serve_url", None) else ""))
-    print(f"# strategy: {request.strategy} (seed {request.seed})")
-    if response.served_from:
-        print(f"# served from {response.served_from}: request "
-              f"{response.digest[:12]} already answered (no engine run)")
-    print(f"# evaluations: {result.n_evaluations}, "
-          f"speedup over FKO defaults: {result.speedup_over_start:.2f}x")
-    hits = response.stats.get("cache_hits", 0)
-    if hits:
-        print(f"# evaluation cache: {hits} hits, "
-              f"{response.stats.get('evaluations', 0)} computed")
-    print(f"# best parameters: {result.best_params.describe()}")
-    print(f"# performance: {tuned.timing.mflops:.1f} model-MFLOPS")
-    gains = [(p, g) for p, g in result.phase_speedups().items()
-             if abs(g - 1) > 0.002]
-    if gains:
-        print("# gains: " + "  ".join(f"{p}={100 * (g - 1):+.1f}%"
-                                      for p, g in gains))
-    if args.asm:
-        print(emit_att(tuned.compiled.fn))
-    elif args.verbose:
-        print(format_function(tuned.compiled.fn))
+    served = (f"# served from {response.served_from}: request "
+              f"{response.digest[:12]} already answered (no engine run)"
+              if response.served_from else "")
+    _print_tuned(args, response.tuned(), config, response.stats, served)
     return 0
 
 
@@ -288,8 +321,6 @@ def _tune_file_direct(args) -> int:
     for named registry kernels)."""
     source, _ = _load_source(args.kernel)
     machine = get_machine(args.machine)
-    context = args.context
-    n = args.n or paper_n(context)
     fko = FKO(machine)
     analysis = fko.analyze(source)
     if not analysis.has_tuned_loop:
@@ -297,29 +328,11 @@ def _tune_file_direct(args) -> int:
 
     spec = _file_spec(source, pathlib.Path(args.kernel).stem,
                       analysis.elem.size)
-
     config = _engine_config(args, run_tester=False)
     with TuningSession(config) as session:
-        tuned = session.tune(spec, machine, context, n)
-    result = tuned.search
-
-    print(f"# ifko: {args.kernel} on {machine.name}, {context.value}, N={n}")
-    print(f"# strategy: {config.strategy} (seed {config.seed})")
-    print(f"# evaluations: {result.n_evaluations}, "
-          f"speedup over FKO defaults: {result.speedup_over_start:.2f}x")
-    if session.stats.cache_hits:
-        print(f"# evaluation cache: {session.stats.cache_hits} hits, "
-              f"{session.stats.evaluations} computed")
-    print(f"# best parameters: {result.best_params.describe()}")
-    gains = [(p, g) for p, g in result.phase_speedups().items()
-             if abs(g - 1) > 0.002]
-    if gains:
-        print("# gains: " + "  ".join(f"{p}={100 * (g - 1):+.1f}%"
-                                      for p, g in gains))
-    if args.asm:
-        print(emit_att(tuned.compiled.fn))
-    elif args.verbose:
-        print(format_function(tuned.compiled.fn))
+        tuned = session.tune(spec, machine, args.context,
+                             args.n or default_n(spec, args.context))
+    _print_tuned(args, tuned, config, session.stats.to_dict())
     return 0
 
 
@@ -332,9 +345,9 @@ def cmd_tune_all(args) -> int:
             raise SystemExit(f"error: unknown kernel {k!r}")
     jobs = registry_jobs(kernels=kernels, machines=machines,
                          contexts=(args.context,), n=args.n)
-    if getattr(args, "serve_url", None):
-        return _tune_all_via_serve(args, jobs)
-    config = _engine_config(args, run_tester=args.test)
+    config = _engine_config(args)
+    if args.serve_url:
+        return _tune_all_via_serve(args, config, jobs)
     with TuningSession(config) as session:
         batch = session.run(jobs)
 
@@ -347,20 +360,15 @@ def cmd_tune_all(args) -> int:
     print(f"# throughput: {s.throughput(batch.wall):.1f} evals/s, "
           f"cache hit rate {s.cache_hit_rate:.1%}, "
           f"fast-path {s.fast_path}/slow-path {s.slow_path}")
-    width = max(len(k) for k in (list(batch.results) + list(batch.errors)))
+    width = max(len(job.key()) for job in jobs)
     for job in jobs:
         key = job.key()
-        if key in batch.errors:
-            print(f"  {key:{width}s}  ERROR: {batch.errors[key]}")
-            continue
-        tk = batch.results[key]
-        evals = tk.search.n_evaluations if tk.search else 0
-        print(f"  {key:{width}s}  {tk.mflops:8.1f} MFLOPS  "
-              f"evals={evals:<4d} {tk.params.describe()}")
+        _print_row(key, width, batch.errors[key] if key in batch.errors
+                   else batch.results[key])
     return 1 if batch.errors else 0
 
 
-def _tune_all_via_serve(args, jobs) -> int:
+def _tune_all_via_serve(args, config: TuneConfig, jobs) -> int:
     """Batch-tune against a running daemon: submit everything up front
     (identical requests coalesce on the daemon; repeats answer from its
     result store), then collect in order."""
@@ -369,17 +377,13 @@ def _tune_all_via_serve(args, jobs) -> int:
     from .client import ServeClient, ServiceError
     from .service import TuneRequest
 
+    _note_engine_knobs(args, config)
     client = ServeClient(args.serve_url)
     t0 = time.perf_counter()
     tickets = []
     for job in jobs:
-        request = TuneRequest(
-            kernel=job.kernel, machine=job.machine,
-            context=job.context, n=job.n,
-            strategy=args.strategy, seed=args.seed, budget=args.max_evals,
-            observe=args.observe, verify_ir=args.verify_ir,
-            fast_timing=not args.no_fast_timing,
-            timeout=args.timeout, test=args.test)
+        request = TuneRequest.from_config(job.kernel, job.machine,
+                                          job.context, job.n, config)
         try:
             tickets.append((job, client.submit(request)))
         except ServiceError as exc:
@@ -391,19 +395,16 @@ def _tune_all_via_serve(args, jobs) -> int:
         try:
             response = client.wait(ticket["job_id"])
         except (ServiceError, TimeoutError) as exc:
-            print(f"  {job.key():{width}s}  ERROR: {exc}")
+            _print_row(job.key(), width, str(exc))
             errors += 1
             continue
         if not response.ok:
-            print(f"  {job.key():{width}s}  ERROR: {response.error}")
+            _print_row(job.key(), width, str(response.error))
             errors += 1
             continue
-        tk = response.tuned()
-        evals = tk.search.n_evaluations if tk.search else 0
         note = (f"  [{response.served_from}]"
                 if response.served_from else "")
-        print(f"  {job.key():{width}s}  {tk.mflops:8.1f} MFLOPS  "
-              f"evals={evals:<4d} {tk.params.describe()}{note}")
+        _print_row(job.key(), width, response.tuned(), note)
     stats = client.stats()
     print(f"# daemon: {stats.get('launched', 0)} engine runs, "
           f"{stats.get('deduped', 0)} deduped, "
@@ -458,8 +459,7 @@ def cmd_report(args) -> int:
 
 def cmd_serve(args) -> int:
     from .service import serve
-    config = TuneConfig(jobs=args.jobs, cache_dir=args.cache_dir,
-                        trace=args.trace_out)
+    config = _engine_config(args)
     return serve(host=args.host, port=args.port, config=config,
                  results_dir=args.results_dir, verbose=args.verbose,
                  max_total_evals=args.max_total_evals,
@@ -571,12 +571,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_experiments(args) -> int:
     from .experiments.__main__ import main as exp_main
-    argv = list(args.which)
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.cache_dir is not None:
-        argv += ["--cache-dir", args.cache_dir]
-    return exp_main(argv)
+    return exp_main(args.which, jobs=args.jobs, cache_dir=args.cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -625,71 +620,19 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--verbose", "-v", action="store_true")
     pc.set_defaults(func=cmd_compile)
 
-    def add_engine(p, resume: bool = True):
-        """The batch-engine knobs shared by tune / tune-all."""
-        p.add_argument("--context", "-c", type=_context,
+    def add_problem(p):
+        """The problem's context and size, shared by tune / tune-all."""
+        p.add_argument("--context", "-c", type=parse_context,
                        default=Context.OUT_OF_CACHE,
                        help="oc (out-of-cache) or ic (in-L2)")
         p.add_argument("--n", type=int, default=None,
-                       help="problem size (default: paper sizes)")
-        p.add_argument("--max-evals", type=int, default=400)
-        p.add_argument("--strategy", default="line", type=_strategy,
-                       metavar="NAME",
-                       help="global-search strategy: one of "
-                            f"{', '.join(searcher_names())}, or "
-                            "transfer:<name> to warm-startable-wrap "
-                            "another strategy (default: the paper's "
-                            "modified line search)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="random seed of the strategy (ignored by "
-                            "the deterministic line search)")
-        p.add_argument("--warm-start", default=None, metavar="DIR",
-                       help="warm-start from a `repro serve` result "
-                            "store: the strategy is wrapped in the "
-                            "transfer layer and seeded with the best "
-                            "params of the nearest previously-tuned "
-                            "problem (spelling variants canonicalize)")
-        p.add_argument("--jobs", "-j", type=_jobs, default=1,
-                       help="worker processes (1 = serial)")
-        p.add_argument("--cache-dir", default=None,
-                       help="persistent evaluation cache directory")
-        p.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="write a JSONL search trace to FILE")
-        p.add_argument("--timeout", type=float, default=None,
-                       help="wall-clock seconds allowed per evaluation")
-        p.add_argument("--no-fast-timing", action="store_true",
-                       help="disable the timing model's steady-state "
-                            "extrapolation (bit-identical, just slower)")
-        p.add_argument("--batch-size", type=int, default=1, metavar="K",
-                       help="evaluate candidates in prefix-sharing groups "
-                            "of at most K (bit-identical for every value; "
-                            "1 = per-candidate dispatch)")
-        p.add_argument("--no-prefix-cache", action="store_true",
-                       help="disable prefix-memoized compilation and "
-                            "shared-walk timing (bit-identical, just "
-                            "slower — the equivalence escape hatch)")
-        p.add_argument("--observe", action="store_true",
-                       help="record pass-level compile spans and cycle "
-                            "attribution into the trace (schema v2; "
-                            "non-perturbing — results are bit-identical)")
-        p.add_argument("--verify-ir", action="store_true",
-                       help="run the IR verifier at every pass boundary "
-                            "of every evaluation's compile "
-                            "(non-perturbing; a violation fails loudly)")
-        p.add_argument("--test-best", action="store_true",
-                       help="tester-check the winning kernel before it "
-                            "is reported; a rejection is recorded as a "
-                            "best-rejected trace event")
-        if resume:
-            p.add_argument("--resume", default=None, metavar="FILE",
-                           help="checkpoint completed jobs to FILE and "
-                                "skip them when re-run")
+                       help="problem size (default: the paper's for the "
+                            "kernel and context)")
 
     pt = sub.add_parser("tune", help="run the full ifko empirical search")
     add_common(pt)
-    add_engine(pt, resume=False)
-    pt.add_argument("--enable-block-fetch", action="store_true",
-                    help="make the BF extension searchable")
+    add_problem(pt)
+    add_config_flags(pt, _TUNE_FLAGS)
     pt.add_argument("--serve-url", default=None, metavar="URL",
                     help="tune through a running `repro serve` daemon "
                          "instead of in-process (registry kernels only; "
@@ -706,12 +649,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated machine list (default p4e)")
     pta.add_argument("--kernels", default=None,
                      help="comma-separated subset (default: all kernels)")
-    pta.add_argument("--test", action="store_true",
-                     help="verify each winner against the NumPy reference")
     pta.add_argument("--serve-url", default=None, metavar="URL",
                      help="submit the whole batch to a running "
                           "`repro serve` daemon and collect the answers")
-    add_engine(pta)
+    add_problem(pta)
+    add_config_flags(pta, _ENGINE_FLAGS)
     pta.set_defaults(func=cmd_tune_all)
 
     psv = sub.add_parser("serve",
@@ -724,16 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bind address (default 127.0.0.1)")
     psv.add_argument("--port", type=int, default=8642,
                      help="TCP port (default 8642; 0 picks a free one)")
-    psv.add_argument("--jobs", "-j", type=_jobs, default=1,
-                     help="worker processes per tuning job (1 = serial)")
-    psv.add_argument("--cache-dir", default=None,
-                     help="persistent evaluation cache directory "
-                          "(shared by every request)")
+    add_config_flags(psv, ("jobs", "cache_dir", "trace"))
     psv.add_argument("--results-dir", default=None, metavar="DIR",
                      help="persist answered requests here; repeats are "
                           "served instantly without re-tuning")
-    psv.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="append every job's JSONL search trace to FILE")
     psv.add_argument("--max-total-evals", type=int, default=None,
                      help="refuse new engine runs once this many "
                           "evaluations have been spent across all jobs")
@@ -851,8 +787,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="regenerate the paper's tables and figures")
     pe.add_argument("which", nargs="*",
                     help="subset, e.g. fig2 table3 (default: all)")
-    pe.add_argument("--jobs", "-j", type=_jobs, default=None,
-                    help="worker processes for the tuning engine")
+    add_config_flags(pe, ("jobs",))
+    pe.set_defaults(jobs=None)   # unset: the store reads $REPRO_JOBS
     pe.add_argument("--cache-dir", default=None,
                     help="persist results + evaluation cache here")
     pe.set_defaults(func=cmd_experiments)

@@ -17,7 +17,6 @@ same defaults).
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 
 from . import fig5, fig7, relative, table1, table2
@@ -27,25 +26,18 @@ from .store import global_store
 ALL = ("table1", "table2", "fig2", "fig3", "fig4", "fig5", "table3", "fig7")
 
 
-def main(argv, jobs=None, cache_dir=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments",
-        description="regenerate the paper's tables and figures")
-    parser.add_argument("which", nargs="*",
-                        help=f"subset of {', '.join(ALL)} (default: all)")
-    parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes for the tuning engine")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persist results + evaluation cache here")
-    args = parser.parse_args(list(argv))
-
-    wanted = set(a.lower() for a in args.which) or set(ALL)
+def main(which=(), jobs=None, cache_dir=None) -> int:
+    """Render the experiments named in ``which`` (default: all)."""
+    wanted = set(a.lower() for a in which) or set(ALL)
     unknown = wanted - set(ALL)
     if unknown:
-        parser.error(f"unknown experiment(s): {', '.join(sorted(unknown))}")
-    store = global_store(jobs=args.jobs if jobs is None else jobs,
-                         cache_dir=(args.cache_dir if cache_dir is None
-                                    else cache_dir))
+        raise SystemExit(f"error: unknown experiment(s): "
+                         f"{', '.join(sorted(unknown))}; "
+                         f"valid: {', '.join(ALL)}")
+    try:
+        store = global_store(jobs=jobs, cache_dir=cache_dir)
+    except ValueError as exc:   # an invalid engine knob, e.g. jobs=0
+        raise SystemExit(f"error: {exc}")
     t0 = time.time()
     print(f"# repro experiment suite "
           f"({'quick' if store.quick else 'paper'} sizes)\n")
@@ -67,4 +59,15 @@ def main(argv, jobs=None, cache_dir=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    parser = argparse.ArgumentParser(
+        prog="repro.experiments",
+        description="regenerate the paper's tables and figures")
+    parser.add_argument("which", nargs="*",
+                        help=f"subset of {', '.join(ALL)} (default: all)")
+    parser.add_argument("--jobs", "-j", type=int, default=None,
+                        help="worker processes for the tuning engine")
+    parser.add_argument("--cache-dir", default=None,
+                        help="persist results + evaluation cache here")
+    args = parser.parse_args()
+    raise SystemExit(main(args.which, jobs=args.jobs,
+                          cache_dir=args.cache_dir))

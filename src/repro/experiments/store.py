@@ -221,10 +221,8 @@ class ResultStore:
                 from ..client import ServeClient
                 self._serve_client = ServeClient(self.serve_url)
             from ..service import TuneRequest
-            request = TuneRequest(kernel=spec.name, machine=machine.name,
-                                  context=context, n=n,
-                                  strategy=self.strategy, seed=self.seed,
-                                  test=False)
+            request = TuneRequest.from_config(spec.name, machine, context, n,
+                                              self.session.config)
             return self._serve_client.tune(request).tuned()
         return self.session.tune(spec, machine, context, n)
 

@@ -13,7 +13,7 @@ from .config import CacheConfig, ExecClass, MachineConfig, \
 from .registers import GP_NAMES, SP, XMM_NAMES, gp_regs, xmm_regs
 from .loopinfo import LoopSummary, StreamInfo, summarize
 from .timing import (Context, LoopTimer, TimingResult, TimingStats,
-                     cpu_cycles_per_trip, time_kernel)
+                     cpu_cycles_per_trip, parse_context, time_kernel)
 from .memory import MemoryImage
 from .interp import Interpreter, RunResult, run_function
 
@@ -23,6 +23,6 @@ __all__ = [
     "GP_NAMES", "SP", "XMM_NAMES", "gp_regs", "xmm_regs",
     "LoopSummary", "StreamInfo", "summarize",
     "Context", "LoopTimer", "TimingResult", "TimingStats",
-    "cpu_cycles_per_trip", "time_kernel",
+    "cpu_cycles_per_trip", "parse_context", "time_kernel",
     "MemoryImage", "Interpreter", "RunResult", "run_function",
 ]

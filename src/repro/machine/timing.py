@@ -80,6 +80,21 @@ class Context(enum.Enum):
         return self.value
 
 
+def parse_context(value) -> Context:
+    """Canonicalize a context spelling: a :class:`Context`, its value
+    ("out-of-cache", "in-L2-cache", any case) or a short form ("oc",
+    "ic", "in-l2", ...).  Every layer that accepts a context spells it
+    through here."""
+    if isinstance(value, Context):
+        return value
+    v = str(value).lower()
+    if v in ("oc", "ooc", "out", "out-of-cache"):
+        return Context.OUT_OF_CACHE
+    if v in ("ic", "inl2", "in-l2", "in-cache", "in-l2-cache"):
+        return Context.IN_L2
+    raise ValueError(f"unknown context {value!r}")
+
+
 @dataclass
 class TimingStats:
     cpu_cycles: float = 0.0

@@ -1,19 +1,26 @@
-"""Tuning configuration — the one options object for ifko runs.
+"""Tuning configuration — the one options object for ifko runs, and
+the one declaration of every search and engine knob.
 
-`tune_kernel` historically accreted positional keywords (``max_evals``,
-``space``, ``run_tester``, ``start``); the engine adds five more
-(``jobs``, ``cache_dir``, ``trace``, ``timeout``, ``resume``) and the
-strategy layer two more (``strategy``, ``seed``).  Rather than an
-eleven-keyword signature, everything that shapes *how* a search runs
-lives here, and the drivers take ``config=TuneConfig(...)`` — the only
-spelling (the pre-engine keyword shim was removed after its
-deprecation window).
+Everything that shapes *how* a search runs is a :class:`TuneConfig`
+field (the problem itself — kernel, machine, context, N — stays
+positional), and the drivers take ``config=TuneConfig(...)``.  Each
+field carries its one-line help in ``metadata["help"]``, and the
+surfaces derive from the fields instead of restating them:
+
+* the CLI (:mod:`repro.cli`) generates the engine flags of ``tune``,
+  ``tune-all`` and ``serve`` from them — names, defaults, types and
+  help;
+* the wire request (:class:`repro.service.TuneRequest`) mirrors the
+  search-shaping fields; :meth:`~repro.service.TuneRequest.to_config`
+  and :meth:`~repro.service.TuneRequest.from_config` convert, and the
+  rest are the daemon's engine-side knobs
+  (:data:`repro.service.schema.ENGINE_KNOBS`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:   # only type hints; avoids import cycles
@@ -21,80 +28,82 @@ if TYPE_CHECKING:   # only type hints; avoids import cycles
     from .space import SearchSpace
 
 
+def _knob(default, help: str):
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class TuneConfig:
     """Everything that shapes one ifko search except the problem itself
     (kernel, machine, context, N stay as positional arguments)."""
 
-    #: evaluation budget of the line search
-    max_evals: int = 400
-    #: explicit search space (default: built from FKO's analysis)
-    space: Optional["SearchSpace"] = None
-    #: verify the winning kernel against the NumPy reference
-    run_tester: bool = True
-    #: starting point (default: FKO's static defaults)
-    start: Optional["TransformParams"] = None
-    #: worker processes; 1 = serial (no pool is ever created)
-    jobs: int = 1
-    #: directory of the persistent, content-addressed evaluation cache
-    #: shared across runs and processes; None disables persistence
-    cache_dir: Optional[str] = None
-    #: path of a JSON-lines search trace (one event per evaluation /
-    #: phase / cache hit); None disables tracing
-    trace: Optional[str] = None
-    #: wall-clock seconds allowed per evaluation; None = unlimited
-    timeout: Optional[float] = None
-    #: path of a batch checkpoint file: completed jobs are recorded
-    #: there and skipped when the batch is re-run; None disables
-    resume: Optional[str] = None
-    #: make the BF extension searchable (paper lists it as planned)
-    enable_block_fetch: bool = False
-    #: fraction a candidate must win by to displace the incumbent
-    min_gain: float = 0.005
-    #: global-search strategy, by registry name ("line" is the paper's
-    #: modified line search; see ``repro.search.searcher_names()``)
-    strategy: str = "line"
-    #: seed of the strategy's random stream (the line search ignores it
-    #: — the sweep is deterministic by construction)
-    seed: int = 0
-    #: steady-state extrapolation in the timing model (bit-identical to
-    #: the full walk; False forces the full per-line walk everywhere —
-    #: the escape hatch the equivalence suite exercises)
-    fast_timing: bool = True
-    #: collect pass-level compile spans and cycle attribution per eval
-    #: and fold them into the trace (schema v2 ``pass`` / ``attribution``
-    #: events).  Observation never perturbs results: cycles, cache keys
-    #: and search decisions are bit-identical with it on or off
-    observe: bool = False
-    #: run the IR verifier at every pass boundary of every evaluation's
-    #: compile (the pipeline's ``debug_verify``).  Verification only
-    #: observes: cycles, cache keys and search decisions are
-    #: bit-identical with it on or off — a violation raises instead
-    verify_ir: bool = False
-    #: tester-check the winning kernel before it is returned/stored; a
-    #: failure emits a ``best-rejected`` trace event and raises
-    #: :class:`~repro.errors.KernelTestFailure` (``run_tester`` does the
-    #: same check silently — ``test_best`` is the audited spelling)
-    test_best: bool = False
-    #: evaluation grouping grain: candidates of one search round are
-    #: partitioned into prefix-sharing groups of at most this many and
-    #: evaluated group-at-a-time (one worker payload per group under
-    #: ``jobs > 1``).  Purely an evaluation-order/transport choice —
-    #: cycles, cache keys, traces and search decisions are bit-identical
-    #: for every value; 1 = today's per-candidate dispatch
-    batch_size: int = 1
-    #: the compiler's prefix-memoized compilation + the timer's shared
-    #: walks (both bit-identical by construction; False forces every
-    #: evaluation through the full pipeline and its own walk — the
-    #: escape hatch the equivalence suite exercises)
-    prefix_cache: bool = True
-    #: directory of a ``repro serve`` result store to warm-start from:
-    #: the engine wraps the strategy in the transfer layer and seeds it
-    #: with the best params of the nearest previously-tuned problem
-    #: (spelling variants canonicalize through the wire schema).  An
-    #: operational knob like ``cache_dir`` — never part of a request's
-    #: wire identity; None disables warm-starting
-    warm_start: Optional[str] = None
+    max_evals: int = _knob(400, "evaluation budget of the search")
+    space: Optional["SearchSpace"] = _knob(
+        None, "explicit search space (default: built from FKO's analysis)")
+    #: a rejected winner is never returned: the engine emits a
+    #: ``best-rejected`` trace event and raises KernelTestFailure
+    run_tester: bool = _knob(
+        True, "verify the winning kernel against the NumPy reference")
+    start: Optional["TransformParams"] = _knob(
+        None, "starting point (default: FKO's static defaults)")
+    #: 1 never creates a pool
+    jobs: int = _knob(1, "worker processes (1 = serial)")
+    #: content-addressed, shared across runs and processes
+    cache_dir: Optional[str] = _knob(
+        None, "persistent evaluation cache directory")
+    trace: Optional[str] = _knob(
+        None, "append a JSONL search trace (one event per evaluation, "
+              "phase move and cache hit) to this file")
+    timeout: Optional[float] = _knob(
+        None, "wall-clock seconds allowed per evaluation")
+    resume: Optional[str] = _knob(
+        None, "checkpoint completed jobs to this file and skip them "
+              "when re-run")
+    #: the paper lists BF as planned, so it is off by default
+    enable_block_fetch: bool = _knob(
+        False, "make the BF extension searchable")
+    min_gain: float = _knob(
+        0.005, "fraction a candidate must win by to displace the "
+               "incumbent")
+    strategy: str = _knob(
+        "line", "global-search strategy: a repro.search.searcher_names() "
+                "entry (line = the paper's modified line search, random, "
+                "anneal, genetic, surrogate, ...) or transfer:<name>")
+    #: the line search ignores it: its sweep is deterministic
+    seed: int = _knob(0, "random seed of the strategy")
+    #: the escape hatch the equivalence suite exercises
+    fast_timing: bool = _knob(
+        True, "steady-state extrapolation in the timing model "
+              "(bit-identical to the full walk, just faster)")
+    #: schema v2 ``pass`` / ``attribution`` events.  Observation never
+    #: perturbs results: cycles, cache keys and search decisions are
+    #: bit-identical with it on or off
+    observe: bool = _knob(
+        False, "record pass-level compile spans and cycle attribution "
+               "into the trace (non-perturbing)")
+    #: the pipeline's ``debug_verify``; verification only observes, and
+    #: a violation raises instead
+    verify_ir: bool = _knob(
+        False, "run the IR verifier at every pass boundary of every "
+               "evaluation's compile (non-perturbing)")
+    #: purely an evaluation-order/transport choice: one worker payload
+    #: per group under ``jobs > 1``, and cycles, cache keys, traces and
+    #: search decisions are bit-identical for every value
+    batch_size: int = _knob(
+        1, "evaluate candidates in prefix-sharing groups of at most "
+           "this many (1 = per-candidate dispatch)")
+    #: bit-identical by construction; off forces every evaluation
+    #: through the full pipeline and its own walk — the escape hatch
+    #: the equivalence suite exercises
+    prefix_cache: bool = _knob(
+        True, "prefix-memoized compilation and shared-walk timing "
+              "(bit-identical, just faster)")
+    #: an operational knob like ``cache_dir`` — never part of a
+    #: request's wire identity
+    warm_start: Optional[str] = _knob(
+        None, "warm-start from this `repro serve` result store: the "
+              "strategy is wrapped in the transfer layer and seeded with "
+              "the best params of the nearest previously-tuned problem")
 
     def __post_init__(self) -> None:
         if self.max_evals <= 0:

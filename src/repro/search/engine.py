@@ -57,13 +57,14 @@ from ..fko import FKO, TransformParams
 from ..hil.tiling import nest_info
 from ..kernels import KERNEL_ORDER, REGISTRY, get_kernel
 from ..kernels.blas1 import KernelSpec
-from ..machine import Context, canonical_machine, get_machine, summarize
+from ..machine import (Context, canonical_machine, get_machine,
+                       parse_context, summarize)
 from ..machine.config import MachineConfig
 from ..obs import metrics as _metrics
 from ..obs.core import Collector, use as _obs_use
 from ..records import read_json, write_json
 from ..timing.tester import test_kernel
-from ..timing.timer import Timer, paper_n
+from ..timing.timer import Timer, default_n
 from ..util import LRUCache
 from .config import TuneConfig
 from .drivers import TunedKernel
@@ -286,11 +287,18 @@ def _job_worker(payload: Dict) -> Dict:
 # ---------------------------------------------------------------------------
 # jobs, stats, batch results
 
+def job_key(kernel: str, machine: str, context, n: int) -> str:
+    """The ``kernel:machine:context:n`` string that names one problem in
+    job results, checkpoints, wire keys and every trace ``job`` field."""
+    return f"{kernel}:{machine}:{getattr(context, 'value', context)}:{n}"
+
+
 @dataclass
 class TuningJob:
     """One unit of batch work: tune ``kernel`` on ``machine`` in
     ``context`` at size ``n``.  Kernel and machine are held by registry
-    *name* so a job pickles as a handful of strings."""
+    *name* so a job pickles as a handful of strings; the context may be
+    given in any :func:`~repro.machine.parse_context` spelling."""
 
     kernel: str
     machine: str
@@ -306,13 +314,12 @@ class TuningJob:
         # canonicalize aliases ("P4E", "pentium4", ...) so checkpoint
         # keys match however the job was constructed
         self.machine = canonical_machine(self.machine)
-        if isinstance(self.context, str):
-            self.context = Context(self.context)
+        self.context = parse_context(self.context)
         if self.kernel not in REGISTRY:
             raise KeyError(f"unknown kernel {self.kernel!r}")
 
     def key(self) -> str:
-        return f"{self.kernel}:{self.machine}:{self.context.value}:{self.n}"
+        return job_key(self.kernel, self.machine, self.context, self.n)
 
     def to_dict(self) -> Dict:
         return {"kernel": self.kernel, "machine": self.machine,
@@ -322,7 +329,7 @@ class TuningJob:
     @staticmethod
     def from_dict(data: Dict) -> "TuningJob":
         return TuningJob(kernel=data["kernel"], machine=data["machine"],
-                         context=Context(data["context"]), n=int(data["n"]),
+                         context=data["context"], n=int(data["n"]),
                          max_evals=data.get("max_evals"))
 
 
@@ -331,15 +338,12 @@ def registry_jobs(kernels: Optional[Sequence[str]] = None,
                   contexts: Sequence[Context] = (Context.OUT_OF_CACHE,),
                   n: Optional[int] = None) -> List[TuningJob]:
     """The full batch for ``tune-all``: every registry kernel crossed
-    with the requested machines and contexts (paper N per context when
-    ``n`` is None)."""
-    jobs = []
-    for kernel in (kernels or KERNEL_ORDER):
-        for machine in machines:
-            for context in contexts:
-                jobs.append(TuningJob(kernel, machine, context,
-                                      n or paper_n(context)))
-    return jobs
+    with the requested machines and contexts (``default_n`` per kernel
+    and context when ``n`` is None)."""
+    return [TuningJob(kernel, machine, context,
+                      n or default_n(kernel, context))
+            for kernel in (kernels or KERNEL_ORDER)
+            for machine in machines for context in contexts]
 
 
 @dataclass
@@ -420,8 +424,7 @@ class _Evaluator:
         self.timer = timer
         self.flops = spec.flops(n)
         self.ident = f"{spec.name}|"
-        self.job = (f"{spec.name}:{machine.name.lower()}"
-                    f":{context.value}:{n}")
+        self.job = job_key(spec.name, machine.name.lower(), context, n)
         self.search: Optional[Searcher] = None   # set post-construction
         config = session.config
         # what a candidate group needs besides its params: the serial
@@ -763,18 +766,16 @@ class TuningSession:
 
         compiled = fko.compile(spec.hil, result.best_params,
                                debug_verify=config.verify_ir)
-        if (config.run_tester or config.test_best) and spec.name in REGISTRY:
+        if config.run_tester and spec.name in REGISTRY:
             try:
                 test_kernel(compiled, spec)
             except KernelTestFailure as exc:
                 # the winner failed the tester: never hand it back as a
                 # "fast" kernel — record the rejection in the trace and
                 # surface the failure
-                if config.test_best:
-                    self.emit("best-rejected", job=evaluator.job,
-                              params=result.best_params.describe(),
-                              best_cycles=result.best_cycles,
-                              error=str(exc))
+                self.emit("best-rejected", job=evaluator.job,
+                          params=result.best_params.describe(),
+                          best_cycles=result.best_cycles, error=str(exc))
                 raise
         timing = timer.time(compiled, spec)
         self.emit("job-end", job=evaluator.job,

@@ -43,7 +43,7 @@ curve        job, strategy, seed, round, evaluations, best_cycles,
              are deterministic, so jobs=1 and jobs=N traces carry
              identical curves
 best-rejected  job, params, best_cycles, error — the search's winning
-             kernel failed the tester (``TuneConfig.test_best``); the
+             kernel failed the tester (``TuneConfig.run_tester``); the
              job raises instead of storing the kernel
 job-end      job, best_cycles, evaluations, mflops, params, plus the
              session-cumulative batched-evaluation counters

@@ -15,7 +15,7 @@ lowercases to ``"p4e"``) and their context as either the enum value or
 a CLI short form.  Every spelling is folded through the *same* path the
 wire schema uses — ``canonical_machine`` and
 ``parse_context`` — on both the stored and the query side, and a
-missing problem size takes the wire's ``default_n``.  Without that, a
+missing problem size takes ``default_n``.  Without that, a
 result served by the daemon is invisible to an in-process warm-start of
 the identical problem (the satellite bugfix this module's regression
 tests pin).
@@ -36,8 +36,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..fko.params import TransformParams
-from ..machine.config import canonical_machine
+from ..kernels import REGISTRY
+from ..machine import canonical_machine, parse_context
 from ..records import RecordStore
+from ..timing.timer import default_n
+from .config import TuneConfig
+from .engine import job_key
 
 __all__ = ["WarmEntry", "load_entries", "lookup_warm_start",
            "write_warm_entry"]
@@ -57,30 +61,9 @@ class WarmEntry:
     source: str                # file name (deterministic tiebreak)
 
 
-# -- canonicalization (the wire schema's own paths, imported lazily to
-#    keep repro.search free of an import cycle with repro.service) ------
-
-def canon_context(context) -> str:
-    """Context spelling (enum, value string or CLI short form) -> the
-    canonical value string, via the wire schema's ``parse_context``."""
-    from ..service.schema import parse_context
-    return parse_context(context).value
-
-
-def canon_n(kernel: str, context, n) -> int:
-    """Problem size with the wire schema's defaulting: ``None`` takes
-    ``default_n(kernel, context)`` so an unsized query matches what the
-    daemon stored for the same unsized request."""
-    if n:
-        return int(n)
-    from ..service.schema import default_n, parse_context
-    return default_n(kernel, parse_context(context))
-
-
 def _kernel_base(kernel: str) -> str:
     """The precision-independent kernel family, from the registry when
     the kernel is known (``dasum`` and ``sasum`` -> ``asum``)."""
-    from ..kernels import REGISTRY
     spec = REGISTRY.get(kernel)
     if spec is not None:
         return spec.base
@@ -108,14 +91,14 @@ def _parse_entry(data: Dict, source: str) -> Optional[WarmEntry]:
     elif isinstance(result.get("timing"), dict) \
             and isinstance(result["timing"].get("cycles"), (int, float)):
         cycles = float(result["timing"]["cycles"])
+    context = result.get("context", "out-of-cache")
     try:
         return WarmEntry(
             kernel=kernel,
             base=_kernel_base(kernel),
             machine=canonical_machine(result.get("machine", "p4e")),
-            context=canon_context(result.get("context", "out-of-cache")),
-            n=canon_n(kernel, result.get("context", "out-of-cache"),
-                      result.get("n")),
+            context=parse_context(context).value,
+            n=int(result.get("n") or default_n(kernel, context)),
             params=TransformParams.from_dict(params),
             cycles=cycles,
             source=source)
@@ -158,8 +141,8 @@ def lookup_warm_start(root, kernel: str, machine, context,
     if not entries:
         return [], ""
     machine = canonical_machine(machine)
-    context = canon_context(context)
-    n = canon_n(kernel, context, n)
+    context = parse_context(context).value
+    n = int(n or default_n(kernel, context))
     base = _kernel_base(kernel)
     ranked = sorted(entries,
                     key=lambda e: _rank_key(e, kernel, base, machine,
@@ -175,9 +158,8 @@ def lookup_warm_start(root, kernel: str, machine, context,
         if len(picks) >= max(1, k):
             break
     nearest = ranked[0]
-    source = f"{nearest.kernel}:{nearest.machine}:{nearest.context}:" \
-             f"{nearest.n}"
-    return picks, source
+    return picks, job_key(nearest.kernel, nearest.machine, nearest.context,
+                          nearest.n)
 
 
 # -- writing entries (benchmarks, tests, offline store builders) --------
@@ -190,9 +172,8 @@ def write_warm_entry(root, kernel: str, machine, context, n,
     warm stores without running a daemon.  Returns the written path;
     raises :class:`OSError` when the disk refuses the write."""
     from ..service.schema import TuneRequest
-    request = TuneRequest(kernel=kernel,
-                          machine=getattr(machine, "name", machine),
-                          context=context, n=n, test=False)
+    request = TuneRequest.from_config(kernel, machine, context, n,
+                                      TuneConfig(run_tester=False))
     digest = request.digest()
     entry = {"schema": 1, "digest": digest, "job_id": "",
              "status": "done",

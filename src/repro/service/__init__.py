@@ -20,12 +20,13 @@ Clients use :mod:`repro.client`, which speaks to either a daemon
 (:class:`~repro.client.LocalClient`) through one interface.
 """
 
-from .schema import TuneRequest, TuneResponse, history_digest, parse_context
+from .schema import (TuneRequest, TuneResponse, default_n, history_digest,
+                     parse_context)
 from .jobs import (BudgetExhaustedError, JobManager, ServeJob,
                    ServeResultStore)
 from .daemon import ServerHandle, serve, start_server
 
-__all__ = ["TuneRequest", "TuneResponse", "history_digest",
+__all__ = ["TuneRequest", "TuneResponse", "default_n", "history_digest",
            "parse_context", "BudgetExhaustedError", "JobManager",
            "ServeJob", "ServeResultStore", "ServerHandle", "serve",
            "start_server"]

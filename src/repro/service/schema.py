@@ -2,10 +2,11 @@
 
 A :class:`TuneRequest` names one tuning problem plus everything that
 shapes how it is searched — the same fields a local
-:class:`~repro.search.config.TuneConfig` run takes, minus the purely
-operational knobs (``jobs``, ``cache_dir``, ``trace``), which belong to
-the *daemon*, not the request.  Requests canonicalize on construction
-(machine aliases, context spellings, the paper's default N) so that
+:class:`~repro.search.config.TuneConfig` run takes, minus the
+engine-side knobs (:data:`ENGINE_KNOBS`: ``jobs``, ``cache_dir``,
+``trace``, ...), which belong to the *daemon*, not the request.
+Requests canonicalize on construction (``canonical_machine``,
+``parse_context``, ``default_n`` — the one spelling of each) so that
 every spelling of the same problem produces the same canonical
 :meth:`~TuneRequest.digest`; that digest is the service's unit of
 identity — it drives both in-flight coalescing (two concurrent
@@ -28,41 +29,13 @@ from typing import Dict, Optional
 
 from .. import __version__
 from ..kernels import REGISTRY
-from ..machine import Context, canonical_machine
+from ..machine import canonical_machine, parse_context
 from ..search.config import TuneConfig
 from ..search.drivers import TunedKernel
+from ..search.engine import job_key
 from ..search.linesearch import SearchResult
-from ..timing.timer import paper_n
+from ..timing.timer import default_n
 from ..util import check_schema
-
-
-def default_n(kernel: str, ctx: Context) -> int:
-    """The canonical problem size when the request leaves ``n`` unset.
-    Vector kernels use the paper's N (so every pre-existing request
-    digest is unchanged); cubic nest kernels scale as N^1.5 in memory,
-    so their defaults are matrix orders: 512 puts the working set well
-    out of cache, 160 keeps all three operands resident in a 1MB L2
-    (3 * 160^2 * 8 bytes = 600KB)."""
-    spec = REGISTRY.get(kernel)
-    if spec is not None and spec.flops_order >= 3:
-        return 512 if ctx is Context.OUT_OF_CACHE else 160
-    return paper_n(ctx)
-
-
-def parse_context(value) -> Context:
-    """Canonicalize a context spelling: a :class:`Context`, its value
-    ("out-of-cache"), or the CLI short forms ("oc", "ic", "in-l2"...)."""
-    if isinstance(value, Context):
-        return value
-    v = str(value).lower()
-    if v in ("oc", "ooc", "out", "out-of-cache"):
-        return Context.OUT_OF_CACHE
-    # "in-l2-cache" is Context.IN_L2.value lowercased: the enum's own
-    # value string must always round-trip (stored results record it),
-    # not just the CLI short forms
-    if v in ("ic", "inl2", "in-l2", "in-cache", "in-l2-cache"):
-        return Context.IN_L2
-    raise ValueError(f"unknown context {value!r}")
 
 
 def history_digest(search: Optional[SearchResult]) -> Optional[str]:
@@ -118,10 +91,9 @@ class TuneRequest:
             raise ValueError(f"unknown kernel {self.kernel!r}; the "
                              f"service tunes registry kernels")
         self.machine = canonical_machine(self.machine)
-        ctx = parse_context(self.context)
-        self.context = ctx.value
+        self.context = parse_context(self.context).value
         self.n = (int(self.n) if self.n is not None
-                  else default_n(self.kernel, ctx))
+                  else default_n(self.kernel, self.context))
         if self.n <= 0:
             raise ValueError(f"n must be positive, got {self.n}")
         # borrow TuneConfig's validation for the search-shaping fields
@@ -144,9 +116,20 @@ class TuneRequest:
 
     def key(self) -> str:
         """Human-readable job key (matches the engine's trace keys)."""
-        return f"{self.kernel}:{self.machine}:{self.context}:{self.n}"
+        return job_key(self.kernel, self.machine, self.context, self.n)
 
     # -- conversions ----------------------------------------------------
+    @classmethod
+    def from_config(cls, kernel, machine, context, n,
+                    config: TuneConfig) -> "TuneRequest":
+        """The request for one problem searched as ``config`` says —
+        the inverse of :meth:`to_config`.  Engine-side knobs
+        (:data:`ENGINE_KNOBS`) have no wire field and are dropped."""
+        knobs = {f.name: getattr(config, _CONFIG_NAMES.get(f.name, f.name))
+                 for f in fields(cls) if f.name not in _PROBLEM}
+        return cls(kernel=kernel, machine=machine, context=context, n=n,
+                   **knobs)
+
     def to_config(self, base: Optional[TuneConfig] = None) -> TuneConfig:
         """The per-request :class:`TuneConfig`: request fields override
         the search-shaping knobs; operational knobs (``jobs``,
@@ -172,6 +155,14 @@ class TuneRequest:
         if "budget" not in kw and "max_evals" in data:
             kw["budget"] = data["max_evals"]
         return TuneRequest(**kw)
+
+
+#: the TuneConfig fields with no request namesake: they shape how the
+#: engine runs, never the answer, so a daemon takes its own
+ENGINE_KNOBS = tuple(
+    f.name for f in fields(TuneConfig)
+    if f.name not in {_CONFIG_NAMES.get(r.name, r.name)
+                      for r in fields(TuneRequest)})
 
 
 @dataclass
@@ -235,5 +226,5 @@ class TuneResponse:
             served_from=data.get("served_from"))
 
 
-__all__ = ["TuneRequest", "TuneResponse", "default_n", "history_digest",
-           "parse_context"]
+__all__ = ["ENGINE_KNOBS", "TuneRequest", "TuneResponse", "default_n",
+           "history_digest", "parse_context"]

@@ -23,11 +23,12 @@ import numpy as np
 from ..fko.pipeline import CompiledKernel
 from ..hil.tiling import NestInfo, nest_info
 from ..util import LRUCache, check_schema
+from ..kernels import REGISTRY
 from ..kernels.blas1 import KernelSpec
 from ..machine.blocking import nest_cycles
 from ..machine.config import MachineConfig
 from ..machine.loopinfo import LoopSummary, summarize
-from ..machine.timing import Context, LoopTimer, TimingResult
+from ..machine.timing import Context, LoopTimer, TimingResult, parse_context
 
 
 @dataclass
@@ -202,3 +203,18 @@ class Timer:
 def paper_n(context: Context) -> int:
     """The paper's problem sizes: N=80000 out of cache, N=1024 in-L2."""
     return 80000 if context is Context.OUT_OF_CACHE else 1024
+
+
+def default_n(kernel, context) -> int:
+    """The problem size of an unsized problem: ``kernel`` is a registry
+    name or a :class:`KernelSpec`, ``context`` any spelling
+    :func:`parse_context` accepts.  Vector kernels use the paper's N;
+    cubic nest kernels scale as N^1.5 in memory, so their defaults are
+    matrix orders: 512 puts the working set well out of cache, 160
+    keeps all three operands resident in a 1MB L2
+    (3 * 160^2 * 8 bytes = 600KB)."""
+    ctx = parse_context(context)
+    spec = REGISTRY.get(kernel) if isinstance(kernel, str) else kernel
+    if spec is not None and spec.flops_order >= 3:
+        return 512 if ctx is Context.OUT_OF_CACHE else 160
+    return paper_n(ctx)

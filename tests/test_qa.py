@@ -8,7 +8,7 @@
   shrunk to a minimal repro, saved as an artifact, and the artifact
   replays to the identical failure while the bug exists — and reports
   "did not reproduce" once it is fixed;
-* ``TuneConfig(verify_ir=True, test_best=True)`` never perturbs the
+* ``TuneConfig(verify_ir=True, run_tester=True)`` never perturbs the
   search: cycles, chosen parameters and full history are bit-identical
   to a default run, serial and parallel;
 * a tester-rejected winner emits the ``best-rejected`` trace event and
@@ -270,7 +270,7 @@ class TestVerifiedTuneEquivalence:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_verify_flags_bit_identical(self, plain, jobs):
-        cfg = _config(jobs=jobs, verify_ir=True, test_best=True)
+        cfg = _config(jobs=jobs, verify_ir=True, run_tester=True)
         with TuningSession(cfg) as s:
             audited = s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
         assert audited.params.key() == plain.params.key()
@@ -284,7 +284,7 @@ class TestVerifiedTuneEquivalence:
             raise KernelTestFailure("injected tester failure")
         monkeypatch.setattr(engine_mod, "test_kernel", failing_tester)
         trace = tmp_path / "trace.jsonl"
-        cfg = _config(max_evals=8, test_best=True, trace=str(trace))
+        cfg = _config(max_evals=8, run_tester=True, trace=str(trace))
         with pytest.raises(KernelTestFailure, match="injected"):
             with TuningSession(cfg) as s:
                 s.tune("ddot", "p4e", Context.OUT_OF_CACHE, 1000)
@@ -295,17 +295,3 @@ class TestVerifiedTuneEquivalence:
         assert ev["job"] and ev["params"]
         assert ev["best_cycles"] > 0
         assert "injected tester failure" in ev["error"]
-
-    def test_run_tester_alone_stays_silent(self, tmp_path, monkeypatch):
-        """``run_tester`` still raises on a bad winner but does not emit
-        the audited event — ``test_best`` owns the trace schema."""
-        def failing_tester(compiled, spec):
-            raise KernelTestFailure("injected tester failure")
-        monkeypatch.setattr(engine_mod, "test_kernel", failing_tester)
-        trace = tmp_path / "trace.jsonl"
-        cfg = TuneConfig(max_evals=8, run_tester=True, trace=str(trace))
-        with pytest.raises(KernelTestFailure):
-            with TuningSession(cfg) as s:
-                s.tune("ddot", "p4e", Context.OUT_OF_CACHE, 1000)
-        assert not [e for e in read_trace(str(trace))
-                    if e["event"] == "best-rejected"]
