@@ -12,7 +12,8 @@ Measures three things and writes ``results/BENCH_eval_throughput.json``:
 2. **Timing-path speedup** — wall time of ``LoopTimer.time`` with
    ``fast=True`` vs ``fast=False`` on pre-built loop summaries; the
    paper-size out-of-cache path (N=80000) is reported separately since
-   that is where the acceptance criterion (>= 5x) lives.
+   that is where the acceptance criterion (>= 5x) lives, and so is the
+   in-L2 path (N=1024), which walks every line either way (~1x).
 3. **End-to-end eval throughput** — full compile+time evaluations per
    second through ``FKO`` + ``Timer`` (front-end cache warm, the way a
    line search actually uses them), serial and optionally with
@@ -91,12 +92,16 @@ def timing_path(quick: bool):
     mismatches = []
     t_fast = t_slow = 0.0
     t_fast_ooc80k = t_slow_ooc80k = 0.0
+    t_fast_inl2 = t_slow_inl2 = 0.0
     n_cases = 0
     fko_by_mach = {}
     for spec, mach, ctx, params in _cases(quick):
         fko = fko_by_mach.setdefault(mach.name, FKO(mach))
         summary = summarize(fko.compile(spec.hil, params).fn)
         n = paper_n(ctx)
+        # warm the summary's cycles-per-trip memo, so that neither timed
+        # variant pays for it (it dominates a short in-L2 walk)
+        LoopTimer(mach, ctx).time(summary, n)
         t0 = time.perf_counter()
         fast = LoopTimer(mach, ctx, fast=True).time(summary, n)
         t1 = time.perf_counter()
@@ -107,6 +112,9 @@ def timing_path(quick: bool):
         if ctx is Context.OUT_OF_CACHE:
             t_fast_ooc80k += t1 - t0
             t_slow_ooc80k += t2 - t1
+        else:
+            t_fast_inl2 += t1 - t0
+            t_slow_inl2 += t2 - t1
         n_cases += 1
         if fast.cycles != slow.cycles:
             mismatches.append({
@@ -120,7 +128,9 @@ def timing_path(quick: bool):
             "slow_wall_s": round(t_slow, 4),
             "speedup": round(t_slow / t_fast, 2) if t_fast > 0 else None,
             "speedup_ooc_n80000": (round(t_slow_ooc80k / t_fast_ooc80k, 2)
-                                   if t_fast_ooc80k > 0 else None)}
+                                   if t_fast_ooc80k > 0 else None),
+            "speedup_inl2_n1024": (round(t_slow_inl2 / t_fast_inl2, 2)
+                                   if t_fast_inl2 > 0 else None)}
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +402,8 @@ def main(argv=None):
     tp = timing_path(args.quick)
     print(f"cases: {tp['cases']}, mismatches: {len(tp['mismatches'])}")
     print(f"fast {tp['fast_wall_s']}s vs slow {tp['slow_wall_s']}s "
-          f"-> {tp['speedup']}x (OOC N=80000: {tp['speedup_ooc_n80000']}x)")
+          f"-> {tp['speedup']}x (OOC N=80000: {tp['speedup_ooc_n80000']}x, "
+          f"in-L2 N=1024: {tp['speedup_inl2_n1024']}x)")
 
     print("== end-to-end eval throughput ==")
     et, ref_cycles = eval_throughput(args.quick, args.jobs)

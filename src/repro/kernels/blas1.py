@@ -52,9 +52,6 @@ class KernelSpec:
     #: tester size override; None = the tester's DEFAULT_SIZES (cubic
     #: kernels need small sizes to keep interpreter runs bounded)
     test_sizes: Optional[Tuple[int, ...]] = None
-    #: time this kernel with the analytic blocked-nest model (the
-    #: per-line walk of the tuned loop cannot cover an N^3 nest)
-    nest_timing: bool = False
 
     @property
     def dtype(self) -> np.dtype:

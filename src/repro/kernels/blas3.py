@@ -115,8 +115,7 @@ def _build() -> List[KernelSpec]:
                          vector_args=(), matrix_args=("A", "B", "C"),
                          output_args=("C",), reduction_outputs=("C",),
                          flops_per_elem=2, flops_order=3,
-                         test_sizes=GEMM_TEST_SIZES, nest_timing=True,
-                         loop_form="downcount"))
+                         test_sizes=GEMM_TEST_SIZES, loop_form="downcount"))
         specs.append(_mk("stencil3", _STENCIL3, p,
                          vector_args=("X", "Y"), output_args=("Y",),
                          flops_per_elem=2, loop_form="downcount"))

@@ -24,13 +24,15 @@ Two coupled components:
 The per-line walk is phrased in a *relative* time frame: each line is a
 pure step function of the relative machine state (ready-window offsets,
 bus backlog, hardware-prefetch streak, page phase) that returns the
-cycle delta the line cost.  Because the loop streams over homogeneous
-lines, that state reaches an exactly periodic orbit after a short
-warmup; the timer detects the period by hashing the relative state,
-simulates one period, and **replays** its recorded deltas for the rest
-of the array — performing bit-identical float additions, so the fast
-path equals the full walk exactly (``fast=False`` forces the full
-walk; see DESIGN.md).
+cycle delta the line cost.  Out of cache the loop streams over
+homogeneous lines, so that state reaches an exactly periodic orbit
+after a short warmup; the timer detects the period by hashing the
+relative state at page-phase-0 lines, and **replays** the logged deltas
+of one period for the rest of the array (:func:`_replay_sum`) —
+performing bit-identical float additions, so the fast path equals the
+full walk exactly (``fast=False`` forces the full walk).  In L2 every
+line is walked: at N=1024 the orbit is rarely reached before the array
+ends, so probing cost more than it saved (see DESIGN.md section 9).
 
 The result is ``cycles`` for one kernel invocation; the timer layer
 converts to seconds/MFLOPS.  Absolute numbers are model numbers — the
@@ -106,10 +108,11 @@ class TimingStats:
     demand_misses: int = 0
     hw_prefetches: int = 0
     lines_processed: int = 0
-    #: lines whose deltas were replayed from the detected steady-state
-    #: period instead of stepped (0 = full walk)
+    #: lines whose deltas were replayed from the detected out-of-cache
+    #: steady-state period instead of stepped (0 = full walk; always 0
+    #: in L2, which walks every line)
     lines_extrapolated: int = 0
-    #: length (in lines) of the detected steady-state period
+    #: length (in lines) of the detected out-of-cache period
     steady_period: int = 0
 
 
@@ -253,49 +256,6 @@ def prologue_cycles(summary: LoopSummary, mach: MachineConfig) -> float:
 # ---------------------------------------------------------------------------
 # memory-side simulation
 
-class _Bus:
-    """Finite-bandwidth memory bus.
-
-    Reads stream back-to-back.  Writes are assumed to drain from the
-    write/WC buffers opportunistically, so they do not force the read
-    stream to re-arbitrate: instead each buffered write line carries an
-    amortized share of two bus turnarounds per ``write_batch`` lines.
-    A smaller batch (P4E FSB) makes interleaved read/write streams pay
-    more — the effect AMD's block-fetch technique exploits (and that the
-    hand-tuned dcopy* baseline models with a larger effective batch).
-
-    The simulators below inline this accounting in a relative time
-    frame; the class remains the reference formulation (and is used by
-    tests/diagnostics).
-    """
-
-    __slots__ = ("free_at", "bpc", "turnaround", "write_batch",
-                 "busy_total")
-
-    def __init__(self, bpc: float, turnaround: int, write_batch: int = 4):
-        self.free_at = 0.0
-        self.bpc = bpc
-        self.turnaround = turnaround
-        self.write_batch = max(1, write_batch)
-        self.busy_total = 0.0
-
-    def transfer(self, now: float, nbytes: float, direction: str,
-                 batch: Optional[int] = None) -> Tuple[float, float]:
-        """Schedule a transfer; returns (start, end).  ``end`` is when the
-        full line has arrived (for reads, data-available time)."""
-        start = max(now, self.free_at)
-        dur = nbytes / self.bpc
-        if direction == "write":
-            dur += 2.0 * self.turnaround / (batch or self.write_batch)
-        end = start + dur
-        self.free_at = end
-        self.busy_total += dur
-        return start, end
-
-    def is_busy(self, now: float) -> bool:
-        return self.free_at > now
-
-
 class _Stream:
     """Per-stream mutable state for the line walk, pre-resolved from the
     machine config so the step function does no attribute dispatch."""
@@ -328,13 +288,16 @@ def _shift_ready(states: List[_Stream], by: int) -> None:
 class LoopTimer:
     """Times one kernel invocation of N elements on a machine/context.
 
-    ``fast=True`` (the default) enables steady-state extrapolation:
-    once the relative per-line state repeats exactly, the detected
-    period's cycle deltas are replayed instead of re-simulated.  The
-    replay performs the *same float additions in the same order* as the
-    full walk, so the result is bit-identical; ``fast=False`` forces
-    the full walk (used by the equivalence suite and the benchmark's
-    divergence gate).
+    :meth:`time` computes what both contexts share (the CPU bound per
+    line, the line count, one :class:`_Stream` per touched array) and
+    hands it to the context's walk.  ``fast=True`` (the default) enables
+    the out-of-cache steady-state replay: once the relative per-line
+    state repeats exactly, the logged deltas of one period are replayed
+    instead of re-simulated, with the *same float additions in the same
+    order* as the full walk, so the result is bit-identical.
+    ``fast=False`` forces the full walk (used by the equivalence suite
+    and the benchmark's divergence gate).  The in-L2 walk never
+    replays, so ``fast`` does not change its work.
     """
 
     def __init__(self, mach: MachineConfig, context: Context,
@@ -358,11 +321,21 @@ class LoopTimer:
         stats.cpu_cycles = cpi * trips
 
         cycles = prologue_cycles(summary, mach)
-        if trips > 0:
-            if self.context is Context.OUT_OF_CACHE:
-                cycles += self._simulate_ooc(summary, trips, cpi, stats)
-            else:
-                cycles += self._simulate_inl2(summary, trips, cpi, stats)
+        streams = [s for s in summary.streams.values()
+                   if s.reads or s.writes]
+        if trips > 0 and not streams:
+            cycles += cpi * trips
+        elif trips > 0:
+            line = mach.l1.line
+            elems_per_line = max(1, line // max(s.elem_size
+                                                for s in streams))
+            n_lines = (trips * epi + elems_per_line - 1) // elems_per_line
+            cpu_per_line = cpi * elems_per_line / epi
+            states = [_Stream(s, line, mach) for s in streams]
+            simulate = (self._simulate_ooc
+                        if self.context is Context.OUT_OF_CACHE
+                        else self._simulate_inl2)
+            cycles += simulate(summary, states, n_lines, cpu_per_line, stats)
 
         # remainder elements run through the scalar cleanup loop
         if remainder > 0:
@@ -375,22 +348,13 @@ class LoopTimer:
         return TimingResult(cycles, mach.name, self.context, n, stats)
 
     # ------------------------------------------------------------------
-    def _simulate_ooc(self, summary: LoopSummary, trips: int, cpi: float,
+    def _simulate_ooc(self, summary: LoopSummary, states: List[_Stream],
+                      n_lines: int, cpu_per_line: float,
                       stats: TimingStats) -> float:
-        """Out-of-cache: line-granular walk against the memory bus."""
+        """Out-of-cache: line-granular walk against the memory bus, with
+        the steady-state replay when ``fast``."""
         mach = self.mach
         line = mach.l1.line
-        epi = summary.elems_per_trip
-        streams = [s for s in summary.streams.values()
-                   if s.reads or s.writes]
-        if not streams:
-            return cpi * trips
-
-        total_elems = trips * epi
-        elem_size = max(s.elem_size for s in streams)
-        elems_per_line = max(1, line // elem_size)
-        n_lines = (total_elems + elems_per_line - 1) // elems_per_line
-        cpu_per_line = cpi * elems_per_line / epi
 
         # pre-resolved constants: the step below must be a pure function
         # of the relative state, so everything invariant is hoisted
@@ -419,7 +383,6 @@ class LoopTimer:
         sb_slack = mach.store_buffer_slack
         wnt_rw_pen = mach.wnt_read_write_penalty
 
-        states = [_Stream(s, line, mach) for s in streams]
         pf_states = [st for st in states if st.pf_on]
         rd_states = [st for st in states if st.reads]
         wr_states = [st for st in states if st.writes]
@@ -650,25 +613,17 @@ class LoopTimer:
         return max(now, free_abs * 0.98)
 
     # ------------------------------------------------------------------
-    def _simulate_inl2(self, summary: LoopSummary, trips: int, cpi: float,
+    def _simulate_inl2(self, summary: LoopSummary, states: List[_Stream],
+                       n_lines: int, cpu_per_line: float,
                        stats: TimingStats) -> float:
         """In-L2 context: operands resident in L2; the 'memory' is the
         L1<->L2 path, unless non-temporal stores force main-memory
-        traffic (which is why WNT is a bad idea in cache)."""
+        traffic (which is why WNT is a bad idea in cache).  Every line
+        is walked: at in-L2 sizes a steady state is rarely found before
+        the array ends, and probing for one cost more than the replay
+        saved (DESIGN.md section 9)."""
         mach = self.mach
         line = mach.l1.line
-        epi = summary.elems_per_trip
-        streams = [s for s in summary.streams.values()
-                   if s.reads or s.writes]
-        if not streams:
-            return cpi * trips
-
-        total_elems = trips * epi
-        elem_size = max(s.elem_size for s in streams)
-        elems_per_line = max(1, line // elem_size)
-        n_lines = (total_elems + elems_per_line - 1) // elems_per_line
-        cpu_per_line = cpi * elems_per_line / epi
-
         # L1<->L2 fill path and the (write-batch 4) memory bus that
         # non-temporal stores are forced onto
         l2_read_dur = line / mach.l2.fill_bpc
@@ -681,14 +636,17 @@ class LoopTimer:
         sb_slack = mach.store_buffer_slack
         wnt_rw_pen = mach.wnt_read_write_penalty
 
-        states = [_Stream(s, line, mach) for s in streams]
-
-        def step(k: int, l2_free: float, mem_free: float):
+        now = 0.0
+        l2_free = 0.0
+        mem_free = 0.0
+        stall_total = 0.0
+        busy_total = 0.0
+        c_iss = c_dem = 0
+        for k in range(n_lines):
             t = cpu_per_line
             stall = 0.0
             l2_busy = 0.0
             mem_busy = 0.0
-            pf_iss = demand = 0
             for st in states:
                 # software prefetch moves the line L2 -> L1 early
                 if st.pf_on:
@@ -699,7 +657,7 @@ class LoopTimer:
                         end = start + l2_read_dur
                         l2_free = end
                         l2_busy += l2_read_dur
-                        pf_iss += 1
+                        c_iss += 1
                         if not st.l2_only:
                             lat = t + l2_lat
                             st.ready[tgt] = end if end > lat else lat
@@ -719,7 +677,7 @@ class LoopTimer:
                         arrive = end if end > lat else lat
                         stall += arrive - t
                         t = arrive
-                        demand += 1
+                        c_dem += 1
                 if st.writes:
                     if st.nontemporal:
                         # forced to memory: slow bus + WC behaviour
@@ -738,92 +696,20 @@ class LoopTimer:
                         start = l2_free if l2_free > t else t
                         l2_free = start + l2_write_dur
                         l2_busy += l2_write_dur
+            # retire the line and rebase to the next line's start: the
+            # same relative frame (hence the same float operations) as
+            # the out-of-cache walk
             for st in states:
                 ready = st.ready
                 ready.pop(k, None)
                 if ready:
                     for kk in ready:
                         ready[kk] -= t
-            return t, l2_free - t, mem_free - t, stall, l2_busy, mem_busy, \
-                pf_iss, demand
-
-        def signature(k: int, l2_free: float, mem_free: float):
-            parts: List = [l2_free, mem_free]
-            for st in states:
-                ready = st.ready
-                parts.append(tuple(sorted(
-                    (kk - k, v) for kk, v in ready.items())) if ready else ())
-            return tuple(parts)
-
-        now = 0.0
-        l2_free = 0.0
-        mem_free = 0.0
-        stall_total = 0.0
-        busy_total = 0.0
-        c_iss = c_dem = 0
-
-        max_dist = max((st.dist_lines for st in states if st.pf_on),
-                       default=0)
-        steady_end = n_lines - (max_dist + 1)
-        probing = self.fast and n_lines >= _FAST_MIN_LINES and steady_end > 1
-        seen: Dict[Tuple, int] = {}
-
-        k = 0
-        while k < n_lines:
-            if probing and k < steady_end:
-                sig = signature(k, l2_free, mem_free)
-                prev = seen.get(sig)
-                if prev is None:
-                    if len(seen) < _PROBE_CAP:
-                        seen[sig] = k
-                    else:
-                        probing = False
-                else:
-                    period = k - prev
-                    probing = False
-                    if k + period <= steady_end:
-                        deltas: List[float] = []
-                        stalls: List[float] = []
-                        busys: List[float] = []
-                        p_iss = p_dem = 0
-                        for _ in range(period):
-                            d, l2_free, mem_free, s, lb, mb, a1, a2 = \
-                                step(k, l2_free, mem_free)
-                            now += d
-                            stall_total += s
-                            busy_total += lb + mb
-                            deltas.append(d)
-                            stalls.append(s)
-                            busys.append(lb + mb)
-                            p_iss += a1
-                            p_dem += a2
-                            k += 1
-                        c_iss += p_iss
-                        c_dem += p_dem
-                        if signature(k, l2_free, mem_free) == sig:
-                            full = (steady_end - k) // period
-                            if full > 0:
-                                rep = full * period
-                                now = _replay_sum(now, deltas, full)
-                                stall_total = _replay_sum(
-                                    stall_total, stalls, full)
-                                busy_total = _replay_sum(
-                                    busy_total, busys, full)
-                                c_iss += p_iss * full
-                                c_dem += p_dem * full
-                                _shift_ready(states, rep)
-                                k += rep
-                                stats.lines_extrapolated = rep
-                                stats.steady_period = period
-                    continue
-            d, l2_free, mem_free, s, lb, mb, a1, a2 = \
-                step(k, l2_free, mem_free)
-            now += d
-            stall_total += s
-            busy_total += lb + mb
-            c_iss += a1
-            c_dem += a2
-            k += 1
+            now += t
+            l2_free -= t
+            mem_free -= t
+            stall_total += stall
+            busy_total += l2_busy + mem_busy
 
         stats.stall_cycles += stall_total
         stats.prefetch_issued += c_iss

@@ -73,8 +73,8 @@ class TuneConfig:
     seed: int = _knob(0, "random seed of the strategy")
     #: the escape hatch the equivalence suite exercises
     fast_timing: bool = _knob(
-        True, "steady-state extrapolation in the timing model "
-              "(bit-identical to the full walk, just faster)")
+        True, "out-of-cache steady-state extrapolation in the timing "
+              "model (bit-identical to the full walk, just faster)")
     #: schema v2 ``pass`` / ``attribution`` events.  Observation never
     #: perturbs results: cycles, cache keys and search decisions are
     #: bit-identical with it on or off

@@ -155,15 +155,8 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
             share = fko.share_key(hil, params, debug_verify=verify_ir)
             base = timer.peek_base(share)
             if base is None:
-                nest = nest_info(hil) if isinstance(hil, str) else None
-                if nest is not None:
-                    # the tuned loop is the innermost level of a full
-                    # nest: route through the analytic blocked-nest
-                    # model (the per-line walk cannot cover O(N^3))
-                    base = timer.base_nest(summarize(compiled.fn), nest,
-                                           params.tiles(), share)
-                else:
-                    base = timer.base(summarize(compiled.fn), share)
+                base = timer.base(summarize(compiled.fn), share,
+                                  source=hil, tiles=params.tiles())
             timing = timer.finish(base, flops,
                                   ident=f"{ident_prefix}{params.key()}")
     except SimulationFault as exc:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
 from ..fko.pipeline import CompiledKernel
-from ..hil.tiling import NestInfo, nest_info
+from ..hil.tiling import nest_info
 from ..util import LRUCache, check_schema
 from ..kernels import REGISTRY
 from ..kernels.blas1 import KernelSpec
@@ -85,49 +85,42 @@ class Timer:
         #: key.  A share key asserts "this summary's content is identical
         #: to every other summary passed under the same key" — the engine
         #: uses FKO's complete effective-parameter key, which determines
-        #: the compiled IR (and hence the summary) bit for bit.  Walks
-        #: are pure functions of (summary, machine, context, n, fast),
-        #: so serving a cached walk is bit-identical to re-walking.
+        #: the compiled IR (and hence the summary) bit for bit.  Base
+        #: timings are pure functions of (summary, source, tiles,
+        #: machine, context, n) — ``fast`` never changes a number — so
+        #: serving a cached one is bit-identical to re-timing.
         self._base_cache = LRUCache(maxsize=256)
         self.base_hits = 0
         self.base_misses = 0
 
     # -- the two halves of one timing ----------------------------------
     def base(self, summary: LoopSummary,
-             share_key: Optional[Hashable] = None) -> TimingResult:
-        """The deterministic walk (no noise), optionally memoized under
-        ``share_key`` (see ``_base_cache``)."""
-        if share_key is None:
-            return self._loop_timer.time(summary, self.n)
-        hit = self._base_cache.get(share_key)
-        if hit is not None:
-            self.base_hits += 1
-            return hit
-        self.base_misses += 1
-        result = self._loop_timer.time(summary, self.n)
-        self._base_cache.put(share_key, result)
-        return result
-
-    def base_nest(self, summary: LoopSummary, nest: NestInfo,
-                  tiles: dict, share_key: Optional[Hashable] = None
-                  ) -> TimingResult:
-        """The analytic blocked-nest walk (no noise) for a kernel whose
-        tuned loop is the innermost level of a full loop nest — the
-        per-line walk cannot cover O(N^3) traffic, so the capacity-miss
-        model of :mod:`repro.machine.blocking` replaces it.  Memoized
-        under ``share_key`` exactly like :meth:`base` (a share key
-        pins the tiled source, so tiles are part of the identity)."""
-        if share_key is None:
-            return nest_cycles(summary, nest, tiles, self.machine,
-                               self.context, self.n)
-        hit = self._base_cache.get(share_key)
-        if hit is not None:
-            self.base_hits += 1
-            return hit
-        self.base_misses += 1
-        result = nest_cycles(summary, nest, tiles, self.machine,
-                             self.context, self.n)
-        self._base_cache.put(share_key, result)
+             share_key: Optional[Hashable] = None, *,
+             source: Optional[str] = None,
+             tiles: Optional[Dict[str, int]] = None) -> TimingResult:
+        """The deterministic timing (no noise), memoized under
+        ``share_key`` (see ``_base_cache``).  The one place the timing
+        model is chosen: when ``source`` (the kernel's HIL) is a full
+        loop nest (:func:`nest_info`), the tuned loop is its innermost
+        level and the per-line walk cannot cover the O(N^3) traffic, so
+        the capacity-miss model of :mod:`repro.machine.blocking` prices
+        it under ``tiles``; everything else gets the per-line walk.  A
+        share key pins the tiled source, so tiles are part of its
+        identity."""
+        if share_key is not None:
+            hit = self._base_cache.get(share_key)
+            if hit is not None:
+                self.base_hits += 1
+                return hit
+            self.base_misses += 1
+        nest = nest_info(source) if isinstance(source, str) else None
+        if nest is not None:
+            result = nest_cycles(summary, nest, tiles or {}, self.machine,
+                                 self.context, self.n)
+        else:
+            result = self._loop_timer.time(summary, self.n)
+        if share_key is not None:
+            self._base_cache.put(share_key, result)
         return result
 
     def peek_base(self, share_key: Optional[Hashable]) -> \
@@ -169,31 +162,13 @@ class Timer:
                      share_key: Optional[Hashable] = None) -> KernelTiming:
         return self.finish(self.base(summary, share_key), flops, ident)
 
-    def time_summaries(self, batch: Sequence[Tuple[LoopSummary, float, str]],
-                       share_keys: Optional[Sequence[Optional[Hashable]]]
-                       = None) -> List[KernelTiming]:
-        """Time a batch of ``(summary, flops, ident)`` candidates.
-
-        Candidates sharing a ``share_keys`` entry share one walk (the
-        batched steady-state replay); each still gets its own
-        identity-seeded noise stream, so results are bit-identical to
-        timing every candidate individually — batching only removes
-        redundant walks, never changes a number."""
-        if share_keys is None:
-            share_keys = [None] * len(batch)
-        return [self.finish(self.base(summary, key), flops, ident)
-                for (summary, flops, ident), key in zip(batch, share_keys)]
-
     def time(self, compiled: CompiledKernel, spec: KernelSpec) -> KernelTiming:
-        summary = summarize(compiled.fn)
-        ident = f"{spec.name}|{compiled.params.key()}"
-        nest = nest_info(spec.hil) if spec.nest_timing else None
-        if nest is not None:
-            tiles = (compiled.params.tiles()
-                     if compiled.params is not None else {})
-            return self.finish(self.base_nest(summary, nest, tiles),
-                               spec.flops(self.n), ident)
-        return self.time_summary(summary, spec.flops(self.n), ident=ident)
+        """Time one compiled kernel of ``spec`` with the model its
+        search ranked it by (:meth:`base` decides from ``spec.hil``)."""
+        base = self.base(summarize(compiled.fn), source=spec.hil,
+                         tiles=compiled.params.tiles())
+        return self.finish(base, spec.flops(self.n),
+                           ident=f"{spec.name}|{compiled.params.key()}")
 
     def cache_stats(self) -> dict:
         """Walk-reuse counters for the batched-evaluation path."""

@@ -142,21 +142,6 @@ class TestTimerSharing:
                         fko.share_key(spec.hil, params)))
         return machine, out
 
-    def test_time_summaries_equals_individual_loop(self, candidates):
-        """The batch API with shared walks is bitwise equal to timing
-        every candidate individually with a fresh timer."""
-        machine, cands = candidates
-        batch_timer = Timer(machine, Context.OUT_OF_CACHE, 80000)
-        batched = batch_timer.time_summaries(
-            [c[:3] for c in cands], share_keys=[c[3] for c in cands])
-        # the duplicated unroll=4 candidate shared one walk
-        assert batch_timer.base_hits == 1
-        for (summary, flops, ident, _), got in zip(cands, batched):
-            solo = Timer(machine, Context.OUT_OF_CACHE, 80000)
-            want = solo.time_summary(summary, flops, ident)
-            assert got.to_dict() == want.to_dict()
-            assert got.samples == want.samples
-
     def test_peek_base_only_reports_cached_walks(self, candidates):
         machine, cands = candidates
         timer = Timer(machine, Context.OUT_OF_CACHE, 80000)

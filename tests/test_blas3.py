@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import _file_spec
 from repro.fko import FKO, TransformParams
+from repro.hil.tiling import nest_info
 from repro.kernels import ALL_KERNEL_ORDER, KERNEL_ORDER, REGISTRY, get_kernel
 from repro.kernels.blas3 import BLAS3_ORDER
 from repro.machine import Context
-from repro.search import TuneConfig, TuningSession
+from repro.search import TuneConfig, TuningSession, evaluate_params
 from repro.timing.tester import test_kernel as check_kernel
 from repro.timing.timer import Timer
 
@@ -44,7 +46,7 @@ class TestRegistry:
         assert spec.matrix_args == ("A", "B", "C")
         assert spec.reduction_outputs == ("C",)
         assert spec.flops_order == 3
-        assert spec.nest_timing
+        assert nest_info(spec.hil) is not None
         assert spec.flops(10) == 2 * 10 ** 3
 
 
@@ -121,3 +123,35 @@ class TestEngine:
         assert par.params.key() == serial_dgemm.params.key()
         assert par.search.best_cycles == serial_dgemm.search.best_cycles
         assert par.search.history == serial_dgemm.search.history
+
+
+# ---------------------------------------------------------------------------
+# the reported timing is the searched timing: a nest kernel's winner and
+# its FKO-defaults baseline are priced by the model the search ranked
+# by, whether the kernel comes from the registry or from a user file
+
+def _nest_specs():
+    specs = [pytest.param(get_kernel("dgemm"), id="registry-dgemm")]
+    for name, elem_size in (("sgemm", 4), ("dgemm", 8)):
+        spec = _file_spec(get_kernel(name).hil, f"my{name}", elem_size)
+        specs.append(pytest.param(spec, id=f"file-{name}"))
+    return specs
+
+
+@pytest.mark.parametrize("spec", _nest_specs())
+def test_reported_equals_searched(p4e, spec):
+    ctx, n = Context.OUT_OF_CACHE, 64
+    fko, timer = FKO(p4e), Timer(p4e, ctx, n)
+
+    def searched(params):
+        cycles, status, _ = evaluate_params(fko, timer, spec.hil, params,
+                                            spec.flops(n), f"{spec.name}|")
+        assert status == "ok"
+        return cycles
+
+    with TuningSession(_config(max_evals=6)) as s:
+        tuned = s.tune(spec, p4e, ctx, n)
+        default = s.compile_default(spec, p4e, ctx, n)
+    assert tuned.timing.cycles == tuned.search.best_cycles
+    assert tuned.timing.cycles == searched(tuned.params)
+    assert default.timing.cycles == searched(default.compiled.params)

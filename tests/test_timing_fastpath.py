@@ -1,8 +1,9 @@
 """Golden equivalence suite for the timing model's steady-state fast path.
 
 The fast path (``LoopTimer(fast=True)``, the default) detects when the
-per-line simulation state repeats and replays the recorded period's
-cycle deltas instead of re-stepping every line.  The replay performs
+out-of-cache per-line simulation state repeats and replays the recorded
+period's cycle deltas instead of re-stepping every line (the in-L2 walk
+always steps every line).  The replay performs
 the same float additions in the same order as the full walk, so the
 contract is *exact*: ``fast=True`` and ``fast=False`` must agree to the
 bit on every kernel, machine, context and transform setting — not
@@ -72,6 +73,9 @@ def test_fast_equals_full_walk(kernel, machine, context, request):
             assert fast.stats.demand_misses == slow.stats.demand_misses
             assert fast.stats.hw_prefetches == slow.stats.hw_prefetches
             assert fast.stats.prefetch_issued == slow.stats.prefetch_issued
+            # the steady-state replay is out-of-cache only
+            if context is Context.IN_L2:
+                assert fast.stats.lines_extrapolated == 0
 
 
 @pytest.mark.parametrize("machine", ["p4e", "opt"])
