@@ -13,7 +13,10 @@ Measures three things and writes ``results/BENCH_eval_throughput.json``:
    ``fast=True`` vs ``fast=False`` on pre-built loop summaries; the
    paper-size out-of-cache path (N=80000) is reported separately since
    that is where the acceptance criterion (>= 5x) lives, and so is the
-   in-L2 path (N=1024), which walks every line either way (~1x).
+   in-L2 path (N=1024), which walks every line either way (~1x).  For
+   the out-of-cache walks it also logs the steady-state probe: how many
+   lines each fast walk stepped before its replay (median, p90, max)
+   and which walks never found a period and stepped every line.
 3. **End-to-end eval throughput** — full compile+time evaluations per
    second through ``FKO`` + ``Timer`` (front-end cache warm, the way a
    line search actually uses them), serial and optionally with
@@ -45,7 +48,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
+import statistics
 import sys
 import time
 
@@ -94,6 +99,8 @@ def timing_path(quick: bool):
     t_fast_ooc80k = t_slow_ooc80k = 0.0
     t_fast_inl2 = t_slow_inl2 = 0.0
     n_cases = 0
+    stepped = []          # lines each out-of-cache fast walk stepped
+    no_period = []        # out-of-cache fast walks that never replayed
     fko_by_mach = {}
     for spec, mach, ctx, params in _cases(quick):
         fko = fko_by_mach.setdefault(mach.name, FKO(mach))
@@ -112,6 +119,11 @@ def timing_path(quick: bool):
         if ctx is Context.OUT_OF_CACHE:
             t_fast_ooc80k += t1 - t0
             t_slow_ooc80k += t2 - t1
+            stepped.append(fast.stats.lines_processed
+                           - fast.stats.lines_extrapolated)
+            if not fast.stats.steady_period:
+                no_period.append(f"{mach.name}/{spec.name}/"
+                                 f"{params.describe()}")
         else:
             t_fast_inl2 += t1 - t0
             t_slow_inl2 += t2 - t1
@@ -130,7 +142,22 @@ def timing_path(quick: bool):
             "speedup_ooc_n80000": (round(t_slow_ooc80k / t_fast_ooc80k, 2)
                                    if t_fast_ooc80k > 0 else None),
             "speedup_inl2_n1024": (round(t_slow_inl2 / t_fast_inl2, 2)
-                                   if t_fast_inl2 > 0 else None)}
+                                   if t_fast_inl2 > 0 else None),
+            "ooc_probe": _probe_log(stepped, no_period)}
+
+
+def _probe_log(stepped, no_period):
+    """Stepped-line distribution of the out-of-cache fast walks (p90 by
+    nearest rank) and the walks that found no steady period."""
+    ranked = sorted(stepped)
+    return {"walks": len(ranked),
+            "stepped_lines_median": (statistics.median(ranked)
+                                     if ranked else None),
+            "stepped_lines_p90": (ranked[math.ceil(0.9 * len(ranked)) - 1]
+                                  if ranked else None),
+            "stepped_lines_max": max(ranked, default=None),
+            "no_period": len(no_period),
+            "no_period_cases": no_period}
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +431,11 @@ def main(argv=None):
     print(f"fast {tp['fast_wall_s']}s vs slow {tp['slow_wall_s']}s "
           f"-> {tp['speedup']}x (OOC N=80000: {tp['speedup_ooc_n80000']}x, "
           f"in-L2 N=1024: {tp['speedup_inl2_n1024']}x)")
+    probe = tp["ooc_probe"]
+    print(f"out-of-cache probe over {probe['walks']} walks: stepped lines "
+          f"median {probe['stepped_lines_median']}, p90 "
+          f"{probe['stepped_lines_p90']}, max {probe['stepped_lines_max']}; "
+          f"{probe['no_period']} found no period")
 
     print("== end-to-end eval throughput ==")
     et, ref_cycles = eval_throughput(args.quick, args.jobs)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..errors import KernelTestFailure
+from ..fko import FKO
 from ..ir import Function
 from ..kernels.blas1 import KernelSpec
 from ..machine.config import MachineConfig
@@ -49,12 +50,19 @@ class AtlasResult:
 
 
 def atlas_search(spec: KernelSpec, machine: MachineConfig, context: Context,
-                 n: int, run_tester: bool = True) -> AtlasResult:
-    timer = Timer(machine, context, n)
+                 n: int, run_tester: bool = True, *,
+                 fko: Optional[FKO] = None,
+                 timer: Optional[Timer] = None) -> AtlasResult:
+    """Time every candidate of the variant library and keep the fastest.
+    ``fko`` and ``timer`` (for ``machine``, and ``context``/``n``) let a
+    caller share its compile caches and walk memo with the search; a
+    fresh pair is built when they are omitted."""
+    if timer is None:
+        timer = Timer(machine, context, n)
     best: Optional[Tuple[float, Candidate, Function, KernelTiming]] = None
     all_timings: List[Tuple[str, float]] = []
     count = 0
-    for variant in variants_for(spec, machine, context):
+    for variant in variants_for(spec, machine, context, fko=fko):
         for cand in variant.candidates:
             fn = cand.build()
             summary = summarize(fn)

@@ -51,11 +51,11 @@ class Variant:
     candidates: List[Candidate] = field(default_factory=list)
 
 
-def _fko_candidate(spec: KernelSpec, machine: MachineConfig, label: str,
+def _fko_candidate(spec: KernelSpec, fko: FKO, label: str,
                    params: TransformParams,
                    is_assembly: bool = False) -> Candidate:
     def build() -> Function:
-        return FKO(machine).compile(spec.hil, params).fn
+        return fko.compile(spec.hil, params).fn
     return Candidate(label=label, build=build, is_assembly=is_assembly)
 
 
@@ -69,16 +69,23 @@ _UR_GRID = (4, 8)
 
 
 def variants_for(spec: KernelSpec, machine: MachineConfig,
-                 context: Context) -> List[Variant]:
+                 context: Context, *,
+                 fko: Optional[FKO] = None) -> List[Variant]:
+    """The candidate library for ``spec`` on ``machine``.  The C and
+    assembly candidates compile through ``fko`` (an ``FKO(machine)``
+    when omitted); the library does not depend on ``context``, so one
+    FKO serves a kernel's candidates in both contexts."""
+    if fko is None:
+        fko = FKO(machine)
     out: List[Variant] = []
 
     # ---- plain C reference (gcc-ish and icc-ish builds)
     cref = Variant("c-ref")
     cref.candidates.append(_fko_candidate(
-        spec, machine, "c-ref/gcc",
+        spec, fko, "c-ref/gcc",
         TransformParams(sv=False, unroll=4)))
     cref.candidates.append(_fko_candidate(
-        spec, machine, "c-ref/icc",
+        spec, fko, "c-ref/icc",
         TransformParams(sv=True, unroll=2)))
     out.append(cref)
 
@@ -90,7 +97,7 @@ def variants_for(spec: KernelSpec, machine: MachineConfig,
             for arr in spec.vector_args:
                 params.prefetch[arr] = PrefetchParams(PrefetchHint.NTA, dist)
             cpf.candidates.append(_fko_candidate(
-                spec, machine, f"c-pf/ur{ur}/d{dist}", params))
+                spec, fko, f"c-pf/ur{ur}/d{dist}", params))
     out.append(cpf)
 
     # ---- all-assembly variants.  Historically these were written for
@@ -108,7 +115,7 @@ def variants_for(spec: KernelSpec, machine: MachineConfig,
                     params.prefetch[arr] = PrefetchParams(
                         PrefetchHint.NTA, dist)
                 asm.candidates.append(_fko_candidate(
-                    spec, machine,
+                    spec, fko,
                     f"asm/wnt{int(wnt)}/d{dist}/ae{ae}", params,
                     is_assembly=True))
     out.append(asm)

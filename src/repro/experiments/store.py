@@ -185,16 +185,22 @@ class ResultStore:
                  kernel: str, method: str) -> MethodResult:
         spec = get_kernel(kernel)
         n = self.n_for(context)
+        # every method compiles and times on the session's pair, so the
+        # six methods of a row, and the rows of one machine, share one
+        # FKO's compile caches and one Timer's walk memo
+        fko, timer = self.session.tools(machine, context, n)
         if method in ("gcc+ref", "icc+ref", "icc+prof"):
             cname = {"gcc+ref": "gcc", "icc+ref": "icc",
                      "icc+prof": "icc+prof"}[method]
             comp = next(c for c in ALL_COMPILERS if c.name == cname)
-            build = comp.build(spec, machine, context, n)
+            build = comp.build(spec, machine, context, n, fko=fko,
+                               timer=timer)
             return MethodResult(method, kernel, build.mflops,
                                 build.timing.cycles,
                                 label=comp.flags(machine))
         if method == "ATLAS":
-            res = atlas_search(spec, machine, context, n, run_tester=False)
+            res = atlas_search(spec, machine, context, n, run_tester=False,
+                               fko=fko, timer=timer)
             return MethodResult(method, kernel, res.mflops,
                                 res.timing.cycles, label=res.best_label,
                                 starred=res.is_assembly)

@@ -62,40 +62,77 @@ class LoopSummary:
         return self.elems_per_trip > 0
 
 
+#: a body with more path prefixes from its entry than this is weighted
+#: as if every block ran on every trip (``_block_weights``)
+_PATH_PREFIX_CAP = 4096
+
+
 def _block_weights(fn: Function, body_names: List[str], latch: str,
                    rare_weight: float) -> Dict[str, float]:
     """Weight 1.0 for blocks on *every* path body-entry -> latch, a small
     weight for conditionally-executed blocks (e.g. iamax's NEWMAX, which
-    fires O(log N) times on random data)."""
+    fires O(log N) times on random data).
+
+    The body is taken without the latch's out-edges (so without the back
+    edge) and restricted to the body blocks plus the latch, which makes
+    it a DAG.  One pass in topological order then gives both answers:
+    a block is on every entry -> latch path iff it dominates the latch,
+    and the number of path prefixes from the entry (capped) says whether
+    the body is too branchy to weight: above ``_PATH_PREFIX_CAP``
+    prefixes, every block is weighted 1.0.  So is a body the latch is
+    unreachable in, and a body with an internal cycle, which is no
+    streaming loop the timing model prices."""
     if not body_names:
         return {}
     entry = body_names[0]
     members = set(body_names) | {latch}
+    succ_map = fn.successor_map()
+    succs = {name: ([] if name == latch else
+                    [s for s in succ_map.get(name, ()) if s in members])
+             for name in members}
 
-    # enumerate blocks reachable on all paths via intersection of paths
-    # (bodies are small DAGs once the back edge is removed)
-    always: Optional[set] = None
-    stack: List[Tuple[str, frozenset]] = [(entry, frozenset([entry]))]
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 4096:  # pathological CFG: treat everything as "always"
-            always = set(body_names)
-            break
-        cur, path = stack.pop()
-        if cur == latch:
-            always = set(path) if always is None else (always & set(path))
-            continue
-        for s in fn.successors(fn.block(cur)):
-            if s in members and s not in path:
-                stack.append((s, path | {s}))
-    if always is None:
-        always = set(body_names)
+    # Kahn's algorithm over the blocks reachable from the entry
+    reach = {entry}
+    work = [entry]
+    while work:
+        for s in succs[work.pop()]:
+            if s not in reach:
+                reach.add(s)
+                work.append(s)
+    preds: Dict[str, List[str]] = {name: [] for name in reach}
+    for name in reach:
+        for s in succs[name]:
+            preds[s].append(name)
+    indeg = {name: len(preds[name]) for name in reach}
+    order: List[str] = []
+    ready = [entry] if indeg[entry] == 0 else []
+    while ready:
+        name = ready.pop()
+        order.append(name)
+        for s in succs[name]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
 
-    weights = {}
-    for name in body_names:
-        weights[name] = 1.0 if name in always else rare_weight
-    return weights
+    always = set(body_names)
+    if len(order) == len(reach) and latch in reach:
+        # dominators and capped path-prefix counts, in one forward pass
+        dom: Dict[str, frozenset] = {}
+        paths: Dict[str, int] = dict.fromkeys(order, 0)
+        paths[entry] = 1
+        prefixes = 0
+        for name in order:
+            ps = preds[name]
+            dom[name] = (frozenset.intersection(*(dom[p] for p in ps))
+                         if ps else frozenset()) | {name}
+            prefixes = min(prefixes + paths[name], _PATH_PREFIX_CAP + 1)
+            for s in succs[name]:
+                paths[s] = min(paths[s] + paths[name], _PATH_PREFIX_CAP + 1)
+        if prefixes <= _PATH_PREFIX_CAP:
+            always = dom[latch]
+
+    return {name: 1.0 if name in always else rare_weight
+            for name in body_names}
 
 
 def summarize(fn: Function, rare_weight: float = 0.01) -> LoopSummary:
@@ -121,20 +158,16 @@ def _summarize(fn: Function, rare_weight: float) -> LoopSummary:
         return LoopSummary(fn, 0, [], {},
                            prologue_uop_estimate=fn.n_instructions())
 
+    blocks = {blk.name: blk for blk in fn.blocks}
     weights = _block_weights(fn, loop.body, loop.latch, rare_weight)
     body: List[Tuple[Instruction, float]] = []
     # header + latch execute once per trip
-    for name in [loop.header] if fn.has_block(loop.header) else []:
-        blk = fn.block(name)
-        if name not in loop.body:
-            for instr in blk.instrs:
-                body.append((instr, 1.0))
+    if loop.header in blocks and loop.header not in loop.body:
+        body.extend((instr, 1.0) for instr in blocks[loop.header].instrs)
     for name in loop.body:
         w = weights.get(name, 1.0)
-        for instr in fn.block(name).instrs:
-            body.append((instr, w))
-    for instr in fn.block(loop.latch).instrs:
-        body.append((instr, 1.0))
+        body.extend((instr, w) for instr in blocks[name].instrs)
+    body.extend((instr, 1.0) for instr in blocks[loop.latch].instrs)
 
     # streams
     epi = loop.elems_per_iter * abs(loop.step)
@@ -152,8 +185,10 @@ def _summarize(fn: Function, rare_weight: float) -> LoopSummary:
         return dtype.elem.size if hasattr(dtype, "elem") else dtype.size
 
     for instr, w in body:
+        if w < 0.5:
+            continue
         mem = instr.mem
-        if mem is None or mem.array is None or w < 0.5:
+        if mem is None or mem.array is None:
             continue
         if instr.op is Opcode.PREFETCH:
             s = stream(mem.array, scalar_size(mem.dtype))
@@ -178,11 +213,10 @@ def _summarize(fn: Function, rare_weight: float) -> LoopSummary:
             pro += len(blk.instrs)
 
     # cleanup loop (remainder iterations), tagged by the transforms
-    cleanup: List[Tuple[Instruction, float]] = []
-    for name in getattr(loop, "cleanup_body", []) or []:
-        if fn.has_block(name):
-            for instr in fn.block(name).instrs:
-                cleanup.append((instr, 1.0))
+    cleanup: List[Tuple[Instruction, float]] = [
+        (instr, 1.0)
+        for name in getattr(loop, "cleanup_body", []) or []
+        if name in blocks for instr in blocks[name].instrs]
 
     summary = LoopSummary(fn, epi, body, streams,
                           prologue_uop_estimate=pro, cleanup=cleanup,

@@ -41,6 +41,7 @@ reproduction targets *relative* behaviour (see DESIGN.md section 3).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -49,6 +50,7 @@ import numpy as np
 
 from ..ir import Instruction, Mem, Opcode, PrefetchHint
 from ..ir.operands import is_reg
+from ..util import LRUCache
 from .config import MachineConfig, get_machine
 from .loopinfo import LoopSummary, StreamInfo
 
@@ -57,6 +59,8 @@ from .loopinfo import LoopSummary, StreamInfo
 _PROBE_CAP = 2048
 #: arrays shorter than this are walked in full — nothing to extrapolate
 _FAST_MIN_LINES = 16
+#: distinct walk inputs one :class:`LoopTimer` remembers
+_WALK_MEMO_SIZE = 256
 
 
 def _replay_sum(init: float, deltas: List[float], full: int) -> float:
@@ -276,6 +280,12 @@ class _Stream:
         self.writes = info.writes
         self.nontemporal = info.nontemporal
 
+    def key(self) -> Tuple:
+        """Everything of the stream a walk reads, besides the per-walk
+        state it starts empty (``ready``, ``hw_streak``)."""
+        return (self.pf_on, self.dist_lines, self.l2_only, self.cap_ok,
+                self.reads, self.writes, self.nontemporal)
+
 
 def _shift_ready(states: List[_Stream], by: int) -> None:
     """Advance every pending line index by ``by`` (an exact integer
@@ -298,6 +308,15 @@ class LoopTimer:
     ``fast=False`` forces the full walk (used by the equivalence suite
     and the benchmark's divergence gate).  The in-L2 walk never
     replays, so ``fast`` does not change its work.
+
+    The walk is a pure function of the timer's machine, context and
+    ``fast``, the line count, the CPU cycles per line, the summary's
+    ``write_batch_override`` and each stream's resolved fields
+    (:meth:`_Stream.key`), so each timer memoizes its walks on exactly
+    those inputs: two candidates that differ only where the walk cannot
+    see (an unroll that leaves the cycles per line unchanged, a
+    reference compiler's build that equals a search candidate) share
+    one walk, bit for bit.
     """
 
     def __init__(self, mach: MachineConfig, context: Context,
@@ -305,6 +324,8 @@ class LoopTimer:
         self.mach = mach
         self.context = context
         self.fast = fast
+        #: walk inputs -> (walk cycles, the TimingStats the walk set)
+        self._walks = LRUCache(maxsize=_WALK_MEMO_SIZE)
 
     # ------------------------------------------------------------------
     def time(self, summary: LoopSummary, n: int) -> TimingResult:
@@ -332,10 +353,19 @@ class LoopTimer:
             n_lines = (trips * epi + elems_per_line - 1) // elems_per_line
             cpu_per_line = cpi * elems_per_line / epi
             states = [_Stream(s, line, mach) for s in streams]
-            simulate = (self._simulate_ooc
-                        if self.context is Context.OUT_OF_CACHE
-                        else self._simulate_inl2)
-            cycles += simulate(summary, states, n_lines, cpu_per_line, stats)
+            key = (n_lines, cpu_per_line, summary.write_batch_override,
+                   tuple(st.key() for st in states))
+            walk = self._walks.get(key)
+            if walk is None:
+                simulate = (self._simulate_ooc
+                            if self.context is Context.OUT_OF_CACHE
+                            else self._simulate_inl2)
+                walk_stats = TimingStats()
+                walk = (simulate(summary, states, n_lines, cpu_per_line,
+                                 walk_stats), walk_stats)
+                self._walks.put(key, walk)
+            stats = dataclasses.replace(walk[1], cpu_cycles=stats.cpu_cycles)
+            cycles += walk[0]
 
         # remainder elements run through the scalar cleanup loop
         if remainder > 0:

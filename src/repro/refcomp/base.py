@@ -69,15 +69,19 @@ class ModeledCompiler:
     # ------------------------------------------------------------------
     def compile(self, spec: KernelSpec, machine: MachineConfig,
                 context: Context, n: int,
-                modified_source: bool = True) -> CompiledKernel:
+                modified_source: bool = True, *,
+                fko: Optional[FKO] = None) -> CompiledKernel:
         """Compile the reference implementation of ``spec``.
 
         ``modified_source`` mirrors the paper's methodology: the ATLAS
         reference loops were rewritten into canonical form so icc would
         vectorize them.  Pass False to compile the original
         ``for(i=N; i; i--)`` form (used by the loop-form ablation).
+        ``fko`` (for ``machine``) shares a caller's compile caches; a
+        fresh one is built when it is omitted.
         """
-        fko = FKO(machine)
+        if fko is None:
+            fko = FKO(machine)
         analysis = fko.analyze(spec.hil)
         params = self.decide(spec, analysis, machine, context, n)
         if not modified_source and spec.loop_form == "downcount":
@@ -87,7 +91,14 @@ class ModeledCompiler:
 
     def build(self, spec: KernelSpec, machine: MachineConfig,
               context: Context, n: int,
-              modified_source: bool = True) -> ReferenceBuild:
-        compiled = self.compile(spec, machine, context, n, modified_source)
-        timing = Timer(machine, context, n).time(compiled, spec)
+              modified_source: bool = True, *,
+              fko: Optional[FKO] = None,
+              timer: Optional[Timer] = None) -> ReferenceBuild:
+        """Compile and time the reference build; ``fko`` and ``timer``
+        as in :meth:`compile` and :func:`repro.atlas.atlas_search`."""
+        compiled = self.compile(spec, machine, context, n, modified_source,
+                                fko=fko)
+        if timer is None:
+            timer = Timer(machine, context, n)
+        timing = timer.time(compiled, spec)
         return ReferenceBuild(self.name, spec, compiled, timing)

@@ -178,34 +178,33 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
 
 class _Tools:
     """Memoized FKO/Timer pairs — every candidate of a sweep shares
-    them.  One FKO per (machine, prefix_cache): its compile caches are
-    context-independent, so an (OOC, in-L2) sweep shares compiles; one
-    Timer (and its walk cache) per (machine, context, n, fast).
-    Bounded, because a long tune-all batch walks many (machine,
-    context, N) combinations through the same process."""
+    them, and so do the FKO-default, ATLAS and reference-compiler
+    builds of an experiment store.  One FKO per (machine,
+    prefix_cache): its compile caches are context-independent, so an
+    (OOC, in-L2) sweep shares compiles; one Timer (and its walk memos)
+    per (machine, context, n, fast).  A machine is identified by its
+    whole config, not its name, so a modified registry machine never
+    borrows the registry machine's caches.  Bounded, because a long
+    tune-all batch walks many (machine, context, N) combinations
+    through the same process."""
 
     def __init__(self):
         self._fkos = LRUCache(maxsize=4)
         self._timers = LRUCache(maxsize=8)
 
-    def get(self, machine: Union[str, MachineConfig], context: Context,
+    def get(self, machine: MachineConfig, context: Context,
             n: int, fast: bool, prefix_cache: bool) -> Tuple[FKO, Timer]:
-        # a MachineConfig is used as given; a name (what a pool
-        # payload carries) is resolved only on a miss
-        name = getattr(machine, "name", machine)
-        fkey = (name, bool(prefix_cache))
-        tkey = (name, context.value, int(n), bool(fast))
+        ident = repr(machine)
+        fkey = (ident, bool(prefix_cache))
+        tkey = (ident, context.value, int(n), bool(fast))
         fko = self._fkos.get(fkey)
+        if fko is None:
+            fko = FKO(machine, prefix_cache=prefix_cache)
+            self._fkos.put(fkey, fko)
         timer = self._timers.get(tkey)
-        if fko is None or timer is None:
-            if isinstance(machine, str):
-                machine = get_machine(machine)
-            if fko is None:
-                fko = FKO(machine, prefix_cache=prefix_cache)
-                self._fkos.put(fkey, fko)
-            if timer is None:
-                timer = Timer(machine, context, n, fast=fast)
-                self._timers.put(tkey, timer)
+        if timer is None:
+            timer = Timer(machine, context, n, fast=fast)
+            self._timers.put(tkey, timer)
         return fko, timer
 
 
@@ -421,12 +420,14 @@ class _Evaluator:
         self.search: Optional[Searcher] = None   # set post-construction
         config = session.config
         # what a candidate group needs besides its params: the serial
-        # path reads the first six keys, a pool worker all of them
+        # path reads the first six keys, a pool worker all of them (the
+        # machine travels as its config, so a worker times the machine
+        # the parent was given, not the registry entry of its name)
         self.payload = {"hil": spec.hil, "flops": self.flops,
                         "ident": self.ident, "timeout": config.timeout,
                         "observe": config.observe,
                         "verify_ir": config.verify_ir,
-                        "machine": machine.name, "context": context.value,
+                        "machine": machine, "context": context.value,
                         "n": n, "fast": config.fast_timing,
                         "prefix_cache": config.prefix_cache}
 
@@ -688,8 +689,7 @@ class TuningSession:
         machine = (get_machine(machine) if isinstance(machine, str)
                    else machine)
         config = self.config
-        fko, timer = self._tools.get(machine, context, n, config.fast_timing,
-                                     config.prefix_cache)
+        fko, timer = self.tools(machine, context, n)
         analysis = fko.analyze(spec.hil)
         space = config.space or build_space(
             analysis, machine, enable_block_fetch=config.enable_block_fetch,
@@ -784,6 +784,16 @@ class TuningSession:
         return TunedKernel(spec=spec, machine=machine, context=context, n=n,
                            compiled=compiled, timing=timing, search=result)
 
+    def tools(self, machine: MachineConfig, context: Context,
+              n: int) -> Tuple[FKO, Timer]:
+        """The session's FKO and Timer for one (machine, context, N).
+        Searches, FKO-default builds and any caller that compiles or
+        times on the session's behalf (the experiment store's ATLAS and
+        reference-compiler rows) share them, and with them one set of
+        compile caches per machine and one walk memo per timer."""
+        return self._tools.get(machine, context, n, self.config.fast_timing,
+                               self.config.prefix_cache)
+
     def compile_default(self, spec: Union[str, KernelSpec],
                         machine: Union[str, MachineConfig],
                         context: Context, n: int) -> TunedKernel:
@@ -792,9 +802,7 @@ class TuningSession:
         spec = get_kernel(spec) if isinstance(spec, str) else spec
         machine = (get_machine(machine) if isinstance(machine, str)
                    else machine)
-        fko, timer = self._tools.get(machine, context, n,
-                                     self.config.fast_timing,
-                                     self.config.prefix_cache)
+        fko, timer = self.tools(machine, context, n)
         compiled = fko.compile(spec.hil)   # params=None -> defaults
         timing = timer.time(compiled, spec)
         return TunedKernel(spec=spec, machine=machine, context=context, n=n,

@@ -162,3 +162,59 @@ def test_fast_equals_full_walk_randomized(params, kernel, n):
             assert fast.cycles == slow.cycles, (
                 f"{kernel}/{mach.name}/{context.value}/n={n}: "
                 f"fast={fast.cycles!r} slow={slow.cycles!r}")
+
+
+# ---------------------------------------------------------------------------
+# the per-timer walk memo: a memoized walk must be the walk
+
+_MEMO_KERNELS = ("ddot", "daxpy", "dcopy", "dswap", "isamax")
+
+
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("context", [Context.OUT_OF_CACHE, Context.IN_L2])
+def test_walk_memo_hits_equal_fresh_walks(context, fast, p4e):
+    """One LoopTimer times the grid twice, so its second pass is served
+    entirely from the walk memo; every result, cycles and every
+    TimingStats field, must equal a fresh LoopTimer's."""
+    fko = FKO(p4e)
+    summaries = [summarize(fko.compile(get_kernel(k).hil, params).fn)
+                 for k in _MEMO_KERNELS
+                 for params in _params_grid(get_kernel(k))]
+    shared = LoopTimer(p4e, context, fast=fast)
+    for summary in summaries:
+        for n in (N_SMALL, N_LARGE):
+            shared.time(summary, n)
+    hits = shared._walks.hits
+    for summary in summaries:
+        for n in (N_SMALL, N_LARGE):
+            memo = shared.time(summary, n)
+            fresh = LoopTimer(p4e, context, fast=fast).time(summary, n)
+            assert memo.cycles == fresh.cycles
+            assert memo.stats == fresh.stats
+    assert shared._walks.hits - hits == 2 * len(summaries)
+
+
+def test_walk_memo_misses_on_any_walk_input(p4e):
+    """Summaries that differ in one walk input each walk afresh: a
+    prefetch distance (same instructions, so the same cycles per line)
+    and the block-fetch write batching."""
+    import dataclasses
+    spec = get_kernel("ddot")
+    fko = FKO(p4e)
+
+    def pf(dist):
+        return TransformParams(sv=True, unroll=4, prefetch={
+            a: PrefetchParams(PrefetchHint.NTA, dist)
+            for a in spec.vector_args})
+    near = summarize(fko.compile(spec.hil, pf(512)).fn)
+    far = summarize(fko.compile(spec.hil, pf(2048)).fn)
+    batched = dataclasses.replace(near, write_batch_override=16)
+    timer = LoopTimer(p4e, Context.OUT_OF_CACHE)
+    timer.time(near, N_LARGE)
+    for summary in (far, batched):
+        misses = timer._walks.misses
+        got = timer.time(summary, N_LARGE)
+        assert timer._walks.misses == misses + 1
+        fresh = LoopTimer(p4e, Context.OUT_OF_CACHE).time(summary, N_LARGE)
+        assert got.cycles == fresh.cycles and got.stats == fresh.stats
+    assert timer.time(far, N_LARGE).cycles != timer.time(near, N_LARGE).cycles
