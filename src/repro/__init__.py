@@ -78,7 +78,7 @@ def tune(kernel, machine="p4e", context=Context.OUT_OF_CACHE,
     ``kernel``/``machine``/``context`` accept registry names ("ddot",
     "p4e", "out-of-cache" or "oc") or the full objects; ``n`` defaults
     to ``default_n(kernel, context)``.  Keyword ``options`` are
-    :class:`TuneConfig` fields (``strategy="anneal"``, ``seed=3``,
+    :class:`TuneConfig` fields (``strategy="genetic"``, ``seed=3``,
     ``max_evals=100``, ...); pass ``config=TuneConfig(...)`` instead to
     reuse a prepared configuration (the two are mutually exclusive).
     """

@@ -12,11 +12,10 @@ evaluation cache (:mod:`~repro.search.evalcache`), JSONL search traces
 
 from .space import (DEFAULT_AES, DEFAULT_DIST_LINES, DEFAULT_UNROLLS,
                     SearchSpace, build_space)
-from .strategies import (SEARCHERS, AnnealSearch, BatchEvaluator, Evaluator,
+from .strategies import (SEARCHERS, BatchEvaluator, Evaluator,
                          ExhaustiveSearch, GeneticSearch, RandomSearch,
                          Searcher, SurrogateSearch, TransferSearch,
-                         make_searcher, register_searcher, searcher_names,
-                         split_strategy, valid_strategy)
+                         make_searcher, register_searcher, searcher_names)
 from .warmstart import (WarmEntry, load_entries, lookup_warm_start,
                         write_warm_entry)
 from .linesearch import PHASES, LineSearch, SearchResult
@@ -33,8 +32,7 @@ from .trace import (TRACE_VERSION, TraceEvents, TraceStream,
 __all__ = ["DEFAULT_AES", "DEFAULT_DIST_LINES", "DEFAULT_UNROLLS",
            "SearchSpace", "build_space", "SEARCHERS", "Searcher",
            "make_searcher", "register_searcher", "searcher_names",
-           "split_strategy", "valid_strategy",
-           "AnnealSearch", "ExhaustiveSearch", "GeneticSearch",
+           "ExhaustiveSearch", "GeneticSearch",
            "RandomSearch", "SurrogateSearch", "TransferSearch",
            "WarmEntry", "load_entries", "lookup_warm_start",
            "write_warm_entry", "PHASES", "BatchEvaluator",

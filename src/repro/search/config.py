@@ -66,9 +66,8 @@ class TuneConfig:
         0.005, "fraction a candidate must win by to displace the "
                "incumbent")
     strategy: str = _knob(
-        "line", "global-search strategy: a repro.search.searcher_names() "
-                "entry (line = the paper's modified line search, random, "
-                "anneal, genetic, surrogate, ...) or transfer:<name>")
+        "line", "global-search strategy: line (the paper's modified line "
+                "search), random, genetic, exhaustive or surrogate")
     #: the line search ignores it: its sweep is deterministic
     seed: int = _knob(0, "random seed of the strategy")
     #: the escape hatch the equivalence suite exercises
@@ -126,12 +125,11 @@ class TuneConfig:
                 or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, "
                              f"got {self.seed!r}")
-        from .strategies import searcher_names, valid_strategy
-        if not valid_strategy(self.strategy):
+        from .strategies import searcher_names
+        if self.strategy not in searcher_names():
             raise ValueError(
                 f"unknown search strategy {self.strategy!r}; valid "
-                f"strategies: {', '.join(searcher_names())} "
-                f"(or transfer:<strategy>)")
+                f"strategies: {', '.join(searcher_names())}")
 
     def replace(self, **changes) -> "TuneConfig":
         return dataclasses.replace(self, **changes)

@@ -13,7 +13,7 @@ both through one ``concurrent.futures.ProcessPoolExecutor``:
 
 Parallelism never changes the answer: every search strategy (the
 ask/tell :class:`~repro.search.strategies.Searcher` protocol — line
-search, random, annealing, genetic) charges its budget and reduces each
+search, random, genetic, surrogate) charges its budget and reduces each
 asked batch in candidate order regardless of who computed the cycle
 counts, so ``jobs=N`` is bit-identical to ``jobs=1`` (the simulated
 machines and the seeded timer noise are deterministic).
@@ -25,8 +25,8 @@ run needs:
   (:mod:`repro.search.evalcache`) shared across runs and processes;
 * per-evaluation **timeouts**; :class:`~repro.errors.SimulationFault`
   is recorded immediately (the simulated machine is deterministic, so
-  identical inputs fault identically — nothing to retry at the
-  evaluation grain);
+  identical inputs fault identically — nothing to retry, neither an
+  evaluation nor a whole job);
 * **checkpoint/resume** of partially completed batches to a JSON state
   file;
 * a JSON-lines **trace** (:mod:`repro.search.trace`) of every
@@ -68,15 +68,15 @@ from ..timing.timer import Timer, default_n
 from ..util import LRUCache
 from .config import TuneConfig
 from .drivers import TunedKernel
-from .evalcache import EvalCache, eval_key
+from .evalcache import EvalCache, eval_key, machine_ident
 from .scheduler import Scheduler
 from .space import build_space
-from .strategies import Searcher, make_searcher
+from .strategies import Searcher, TransferSearch, make_searcher
 from .trace import TraceWriter
 
 
 # ---------------------------------------------------------------------------
-# one evaluation: compile + time, with timeout and retry
+# one evaluation: compile + time, with timeout
 
 class EvalTimeout(ReproError):
     """An evaluation exceeded the configured per-evaluation timeout."""
@@ -289,8 +289,10 @@ def job_key(kernel: str, machine: str, context, n: int) -> str:
 class TuningJob:
     """One unit of batch work: tune ``kernel`` on ``machine`` in
     ``context`` at size ``n``.  Kernel and machine are held by registry
-    *name* so a job pickles as a handful of strings; the context may be
-    given in any :func:`~repro.machine.parse_context` spelling."""
+    *name* so a job pickles as a handful of strings (a
+    :class:`MachineConfig` that differs from its registry machine is
+    refused); the context may be given in any
+    :func:`~repro.machine.parse_context` spelling."""
 
     kernel: str
     machine: str
@@ -302,7 +304,14 @@ class TuningJob:
         if isinstance(self.kernel, KernelSpec):
             self.kernel = self.kernel.name
         if isinstance(self.machine, MachineConfig):
-            self.machine = self.machine.name
+            config = self.machine
+            if get_machine(config.name) != config:
+                raise ValueError(
+                    f"TuningJob names machines by registry name, but this "
+                    f"{config.name!r} config differs from the registry "
+                    f"machine; tune a custom MachineConfig with "
+                    f"TuningSession.tune")
+            self.machine = config.name
         # canonicalize aliases ("P4E", "pentium4", ...) so checkpoint
         # keys match however the job was constructed
         self.machine = canonical_machine(self.machine)
@@ -417,6 +426,7 @@ class _Evaluator:
         self.flops = spec.flops(n)
         self.ident = f"{spec.name}|"
         self.job = job_key(spec.name, machine.name.lower(), context, n)
+        self.machine_ident = machine_ident(machine)
         self.search: Optional[Searcher] = None   # set post-construction
         config = session.config
         # what a candidate group needs besides its params: the serial
@@ -435,7 +445,7 @@ class _Evaluator:
         return self.search.phase if self.search is not None else ""
 
     def _digest(self, params: TransformParams) -> str:
-        return eval_key(self.spec.hil, self.machine.name, self.context,
+        return eval_key(self.spec.hil, self.machine_ident, self.context,
                         self.n, params.key(), __version__)
 
     def __call__(self, params: TransformParams) -> float:
@@ -697,25 +707,27 @@ class TuningSession:
         start = config.start or fko.defaults(spec.hil)
 
         evaluator = _Evaluator(self, spec, machine, context, n, fko, timer)
-        # warm-starting wraps any strategy in the transfer layer and
-        # resolves the neighbor lookup parent-side (workers only ever
-        # compute cycles, so jobs=1 vs jobs=N stays bit-identical)
+        kwargs = dict(max_evals=max_evals or config.max_evals,
+                      min_gain=config.min_gain, seed=config.seed,
+                      output_arrays=analysis.output_arrays)
         strategy_name = config.strategy
-        warm_kwargs: Dict = {}
+        warm: List[TransformParams] = []
+        warm_source = ""
         if config.warm_start:
-            if strategy_name.partition(":")[0] != "transfer":
-                strategy_name = f"transfer:{strategy_name}"
+            # warm-starting wraps the strategy in the transfer layer and
+            # resolves the neighbor lookup parent-side (workers only
+            # ever compute cycles, so jobs=1 vs jobs=N stays
+            # bit-identical)
             from .warmstart import lookup_warm_start
             warm, warm_source = lookup_warm_start(
                 config.warm_start, kernel=spec.name, machine=machine.name,
                 context=context, n=n)
-            warm_kwargs = {"warm": warm, "warm_source": warm_source}
-        searcher = make_searcher(strategy_name, space, start,
-                                 max_evals=max_evals or config.max_evals,
-                                 min_gain=config.min_gain,
-                                 seed=config.seed,
-                                 output_arrays=analysis.output_arrays,
-                                 **warm_kwargs)
+            searcher: Searcher = TransferSearch(
+                space, start, config.strategy, warm=warm,
+                warm_source=warm_source, **kwargs)
+            strategy_name = f"{searcher.name}:{config.strategy}"
+        else:
+            searcher = make_searcher(config.strategy, space, start, **kwargs)
         evaluator.search = searcher
 
         self.emit("job-start", job=evaluator.job, kernel=spec.name,
@@ -724,9 +736,8 @@ class TuningSession:
                   seed=config.seed)
         if config.warm_start:
             self.emit("warm-start", job=evaluator.job,
-                      store=config.warm_start,
-                      source=warm_kwargs.get("warm_source") or None,
-                      candidates=len(warm_kwargs.get("warm") or ()))
+                      store=config.warm_start, source=warm_source or None,
+                      candidates=len(warm))
         prefix_of = None
         if config.batch_size > 1:
             from ..fko import prefix_key
@@ -851,7 +862,6 @@ class TuningSession:
             else:
                 pending.append(job)
 
-        retry_serially: List[TuningJob] = []
         pool = self.pool() if len(pending) > 1 else None
         if pool is not None:
             blob = self._worker_config()
@@ -862,17 +872,15 @@ class TuningSession:
                 for fut in concurrent.futures.as_completed(futures):
                     job = futures[fut]
                     outcome = fut.result()
-                    self._absorb(job, outcome, results, errors,
-                                 retry_serially, completed)
+                    self._absorb(job, outcome, results, errors, completed)
             except BrokenProcessPool:
                 self.mark_pool_broken()   # leftovers re-run serially below
 
         leftovers = [job for job in pending
                      if job.key() not in results
-                     and job.key() not in errors] + retry_serially
+                     and job.key() not in errors]
         for job in leftovers:
             key = job.key()
-            errors.pop(key, None)
             try:
                 tuned = self.tune(job.kernel, job.machine, job.context,
                                   job.n, max_evals=job.max_evals)
@@ -904,7 +912,6 @@ class TuningSession:
 
     def _absorb(self, job: TuningJob, outcome: Dict,
                 results: Dict[str, TunedKernel], errors: Dict[str, str],
-                retry_serially: List[TuningJob],
                 completed: Dict[str, Dict]) -> None:
         key = job.key()
         if self._trace is not None:
@@ -914,8 +921,6 @@ class TuningSession:
             results[key] = TunedKernel.from_dict(outcome["result"])
             completed[key] = outcome["result"]
             self._save_checkpoint(completed)
-        elif "SimulationFault" in (outcome.get("error") or ""):
-            retry_serially.append(job)   # the engine's retry-once, job grain
         else:
             errors[key] = outcome.get("error") or "unknown worker failure"
             self.emit("job-error", job=key, error=errors[key])

@@ -20,7 +20,23 @@ import hashlib
 import math
 from typing import Dict, Optional, Tuple
 
+from ..machine import get_machine
+from ..machine.config import MachineConfig
 from ..records import RecordStore
+
+
+def machine_ident(machine: MachineConfig) -> str:
+    """The machine part of an :func:`eval_key`: the config's name when
+    it equals the registry machine of that name, else the name plus the
+    SHA-256 of the config's ``repr``, so a modified config never reads
+    the registry machine's entries."""
+    try:
+        if get_machine(machine.name) == machine:
+            return machine.name
+    except KeyError:
+        pass
+    digest = hashlib.sha256(repr(machine).encode()).hexdigest()
+    return f"{machine.name}:{digest}"
 
 
 def eval_key(hil: str, machine_name: str, context, n: int,

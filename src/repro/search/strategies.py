@@ -8,7 +8,7 @@ searches as future work.  This module is that extension point: every
 global search is a :class:`Searcher` — an object that *asks* for a
 batch of candidate :class:`~repro.fko.params.TransformParams` and is
 *told* their cycle counts — registered under a short name so drivers
-pick a strategy by string (``TuneConfig(strategy="anneal")``).
+pick a strategy by string (``TuneConfig(strategy="genetic")``).
 
 The protocol::
 
@@ -287,43 +287,15 @@ def searcher_names() -> List[str]:
     return sorted(SEARCHERS)
 
 
-def split_strategy(name: str) -> Tuple[str, Optional[str]]:
-    """Split a strategy spelling into ``(registry_name, inner)``.
-    ``"transfer:genetic"`` is the compound form — the transfer wrapper
-    around a named inner strategy; every other spelling has no inner
-    part.  Raises nothing: validation belongs to the caller."""
-    base, sep, inner = name.partition(":")
-    if sep and base == "transfer":
-        return base, inner
-    return name, None
-
-
-def valid_strategy(name: str) -> bool:
-    """Whether ``name`` is an instantiable strategy spelling: a
-    registered name, or ``transfer:<registered-name>`` (transfer cannot
-    wrap itself)."""
-    base, inner = split_strategy(name)
-    names = searcher_names()
-    if inner is not None:
-        return base in names and inner in names and inner != base
-    return base in names
-
-
 def make_searcher(name: str, space: SearchSpace, start: TransformParams,
                   **kwargs) -> Searcher:
-    """Instantiate a registered strategy by name.  The compound
-    spelling ``transfer:<inner>`` builds the transfer wrapper around
-    the named inner strategy (bare ``"transfer"`` defaults its inner
-    to the surrogate)."""
+    """Instantiate a registered strategy by name."""
     _ensure_registered()
-    base, inner = split_strategy(name)
-    if inner is not None:
-        kwargs.setdefault("inner", inner)
-    if base not in SEARCHERS:
+    if name not in SEARCHERS:
         raise SearchError(
             f"unknown search strategy {name!r}; valid strategies: "
             f"{', '.join(sorted(SEARCHERS))}")
-    return SEARCHERS[base](space, start, **kwargs)
+    return SEARCHERS[name](space, start, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +340,11 @@ def _neighbor(space: SearchSpace, rng: np.random.Generator,
               params: TransformParams,
               coarse: bool = False) -> TransformParams:
     """One random single-coordinate move on the option grids (the
-    annealer's proposal, the GA's mutation).  Fine moves take the same
-    +/-1 steps the line search's restricted 2-D refinements walk;
-    ``coarse`` moves redraw the chosen coordinate uniformly — a Gibbs
-    step that crosses deceptive valleys (e.g. a prefetch distance whose
-    only good value is "off") in one proposal."""
+    GA's mutation, the surrogate's candidate pool).  Fine moves take
+    the same +/-1 steps the line search's restricted 2-D refinements
+    walk; ``coarse`` moves redraw the chosen coordinate uniformly — a
+    Gibbs step that crosses deceptive valleys (e.g. a prefetch distance
+    whose only good value is "off") in one proposal."""
     move = rng.choice(_move_list(space))
 
     def step(options, value):
@@ -443,92 +415,22 @@ class RandomSearch(Searcher):
 
 
 @register_searcher
-class AnnealSearch(Searcher):
-    """Single-coordinate-move simulated annealing (one of the two
-    alternatives section 2.3 names).
-
-    The schedule is explore-then-anneal (annealing with random
-    initialization).  The hot phase spends ``explore`` of the budget on
-    uniform sampling — drawing the *identical* point stream
-    :class:`RandomSearch` draws under the same seed, so the walk starts
-    from a basin at least as good as random sampling finds at that
-    budget share.  The cold phase is a Metropolis walk from the best
-    point found: temperature is relative (fraction of current cycles),
-    a move ``d`` fractionally worse is accepted with probability
-    ``exp(-d / T)``, and T cools geometrically per proposal.  Cold
-    proposals are inherently sequential (each depends on the last
-    acceptance), so they are single-candidate batches — that half of
-    the search gains nothing from the worker pool, and the trace shows
-    it honestly.
-    """
-
-    name = "anneal"
-
-    def __init__(self, space: SearchSpace, start: TransformParams,
-                 t0: float = 0.05, cooling: float = 0.95,
-                 explore: float = 0.85, **kwargs):
-        self.t0 = t0
-        self.cooling = cooling
-        self.explore = explore
-        super().__init__(space, start, **kwargs)
-
-    def _plan(self) -> Plan:
-        rng = np.random.default_rng(self.seed)
-        self.phase = "start"
-        (c0,) = yield [self.start]
-        self.start_cycles = c0
-        self._note(self.start, c0)
-
-        # hot phase: uniform exploration, random search's exact stream
-        self.phase = "explore"
-        n_explore = max(1, int(self.max_evals * self.explore))
-        drawn = 0
-        while drawn < n_explore and self.n_evaluations < self.max_evals:
-            k = min(8, n_explore - drawn)
-            cands = [_random_point(self.space, rng) for _ in range(k)]
-            drawn += k
-            cycles = yield cands
-            for params, c in zip(cands, cycles):
-                self._note(params, c)
-
-        # cold phase: Metropolis walk from the exploration winner
-        self.phase = "anneal"
-        cur, cur_c = self.best_params, self.best_cycles
-        if not math.isfinite(cur_c):
-            cur, cur_c = self.start, c0
-        temp = self.t0
-        for _ in range(self.max_evals * 20):
-            if self.n_evaluations >= self.max_evals:
-                break
-            cand = _neighbor(self.space, rng, cur,
-                             coarse=bool(rng.random() < 0.5))
-            (c,) = yield [cand]
-            if math.isfinite(c):
-                delta = (c - cur_c) / max(cur_c, 1e-9)
-                if (delta <= 0
-                        or rng.random() < math.exp(-delta / max(temp, 1e-6))):
-                    cur, cur_c = cand, c
-                self._note(cand, c)
-            temp *= self.cooling
-
-
-@register_searcher
 class GeneticSearch(Searcher):
     """A small generational GA (the other named alternative):
     elitist selection, uniform crossover over the parameter
     coordinates, single-coordinate mutation, plus a steady trickle of
     random immigrants (``immigrants`` per generation).
 
-    Like :class:`AnnealSearch`, initialization is seeded sampling: the
-    first generation spends ``explore`` of the budget on uniform points
-    drawn from a dedicated rng whose stream is *identical* to
-    :class:`RandomSearch`'s under the same seed (immigrants continue
-    that same stream), so the population's coverage of the space is a
-    strict prefix of what random sampling would have evaluated — the
-    crossover/mutation tail only has to improve on it.  GA operator
-    draws come from a second rng so they never desynchronize the
-    mirror stream.  Each generation is one ask() batch, so its
-    individuals evaluate concurrently under ``jobs=N``."""
+    Initialization is seeded sampling: the first generation spends
+    ``explore`` of the budget on uniform points drawn from a dedicated
+    rng whose stream is *identical* to :class:`RandomSearch`'s under
+    the same seed (immigrants continue that same stream), so the
+    population's coverage of the space is a strict prefix of what
+    random sampling would have evaluated — the crossover/mutation tail
+    only has to improve on it.  GA operator draws come from a second
+    rng so they never desynchronize the mirror stream.  Each generation
+    is one ask() batch, so its individuals evaluate concurrently under
+    ``jobs=N``."""
 
     name = "genetic"
 
@@ -950,21 +852,20 @@ class SurrogateSearch(Searcher):
                 dry = 0
 
 
-@register_searcher
 class TransferSearch(Searcher):
-    """Transfer-aware wrapper (the other half of ROADMAP item 1): seed
-    any registered strategy with the best known parameters of the
-    nearest previously-tuned problem.
+    """Transfer-aware wrapper: seed a registered strategy with the best
+    known parameters of the nearest previously-tuned problem.  It is
+    not itself registered: the engine builds it around
+    ``TuneConfig.strategy`` exactly when ``TuneConfig.warm_start``
+    names a result store.
 
-    ``warm`` carries parameter points recovered from a result store
-    (the engine resolves them via
-    :func:`repro.search.warmstart.lookup_warm_start` when
-    ``TuneConfig.warm_start`` names a store).  Each is *projected* onto
-    this kernel's space — off-grid coordinates snap to the start
-    point's values — evaluated right after the start point, and then
-    the inner strategy (``inner``, default the surrogate; spelled
-    ``transfer:<name>`` to pick another) runs on the remaining budget
-    from the best point seen so far.  The wrapper shares the outer
+    ``warm`` carries parameter points recovered from that store (the
+    engine resolves them via
+    :func:`repro.search.warmstart.lookup_warm_start`).  Each is
+    *projected* onto this kernel's space — off-grid coordinates snap to
+    the start point's values — evaluated right after the start point,
+    and then the ``inner`` strategy runs on the remaining budget from
+    the best point seen so far.  The wrapper shares the outer
     memo and budget: candidates the inner strategy re-asks are answered
     from the memo without re-charging, and the outer budget is charged
     exactly once per distinct candidate, in ask order — so the standing
@@ -976,16 +877,8 @@ class TransferSearch(Searcher):
     name = "transfer"
 
     def __init__(self, space: SearchSpace, start: TransformParams,
-                 inner: str = "surrogate",
-                 warm: Sequence[TransformParams] = (),
+                 inner: str, warm: Sequence[TransformParams] = (),
                  warm_source: str = "", **kwargs):
-        _ensure_registered()
-        if inner == self.name:
-            raise SearchError("transfer cannot wrap itself")
-        if inner not in SEARCHERS:
-            raise SearchError(
-                f"unknown inner strategy {inner!r} for transfer; valid: "
-                f"{', '.join(sorted(SEARCHERS))}")
         self.inner_name = inner
         self.warm = list(warm)
         self.warm_source = warm_source

@@ -34,7 +34,7 @@ attribution  job, phase, params, total, compute, memory_stall,
 cache-hit    job, phase, params, cycles, wall (0.0)
 phase        job, phase, cycles (best so far entering the phase)
 round        job, strategy, round (ask/tell cycle — a line-search
-             phase batch, an anneal proposal, a GA generation),
+             phase batch, a surrogate model round, a GA generation),
              phase, evaluations (budget charged so far), best_cycles
 curve        job, strategy, seed, round, evaluations, best_cycles,
              improved — one best-so-far convergence sample per tell

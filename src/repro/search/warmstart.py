@@ -1,7 +1,7 @@
 """Warm-start lookup: nearest-neighbor retrieval over a result store.
 
-The transfer searcher (ROADMAP item 1) seeds a search with the best
-known parameters of the nearest previously-tuned problem.  This module
+The transfer searcher (``TuneConfig.warm_start``) seeds a search with
+the best known parameters of the nearest previously-tuned problem.  This module
 is the retrieval half: it reads a ``repro serve`` result-store
 directory (one JSON file per answered request — the layout
 :class:`repro.service.jobs.ServeResultStore` writes), recovers each

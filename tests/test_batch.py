@@ -27,7 +27,7 @@ from repro.search.evalcache import eval_key
 from repro.service import history_digest
 from repro.timing.timer import Timer
 
-STRATEGIES = ("line", "random", "anneal", "genetic")
+STRATEGIES = ("line", "random", "genetic", "surrogate")
 
 
 def _run(strategy, **cfg_kw):

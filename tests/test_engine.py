@@ -6,11 +6,13 @@ Covers the engine's contract surface:
 * the persistent evaluation cache (warm rerun = zero evaluations);
 * checkpoint/resume of a batch;
 * JSON round-trips of params / search results / tuned kernels;
-* robustness: retry-once on SimulationFault, per-eval timeouts;
+* robustness: a SimulationFault is never retried (neither an evaluation
+  nor a job), per-eval timeouts;
 * the deprecation shim over the old tune_kernel keyword signature;
 * the JSONL trace and its summary.
 """
 
+import dataclasses
 import json
 import time
 
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationFault
 from repro.fko import FKO, TransformParams
 from repro.kernels import KERNEL_ORDER, get_kernel
-from repro.machine import Context
+from repro.machine import Context, get_machine
 from repro.search import (EvalCache, SearchResult, TuneConfig, TunedKernel,
                           TuningJob, TuningSession, compile_default,
                           eval_key, evaluate_params, read_trace,
@@ -31,6 +33,13 @@ from repro.timing.timer import Timer
 
 N = 4000
 EVALS = 40
+
+
+def _slow_p4e():
+    """A custom config that keeps the registry name: P4E with a quarter
+    of its bus bandwidth."""
+    p4e = get_machine("p4e")
+    return dataclasses.replace(p4e, bus_bpc=p4e.bus_bpc / 4)
 
 
 def _config(**kw):
@@ -139,6 +148,27 @@ class TestEvalCache:
         assert warm.params.key() == serial_ddot.params.key()
         assert warm.search.best_cycles == serial_ddot.search.best_cycles
 
+    def test_modified_machine_gets_its_own_entries(self, tmp_path):
+        """A config that keeps a registry name must not read the
+        registry machine's entries; the registry machine's key is its
+        bare name, so existing caches stay warm."""
+        from repro.search.evalcache import machine_ident
+        p4e = get_machine("p4e")
+        assert machine_ident(p4e) == p4e.name
+        assert machine_ident(_slow_p4e()).startswith(p4e.name + ":")
+        cfg = _config(max_evals=6, cache_dir=str(tmp_path / "evals"))
+        with TuningSession(cfg) as s:
+            s.tune("ddot", p4e, Context.OUT_OF_CACHE, 80000)
+        with TuningSession(cfg) as s:
+            cached = s.tune("ddot", _slow_p4e(), Context.OUT_OF_CACHE, 80000)
+            assert s.stats.cache_hits == 0
+        with TuningSession(_config(max_evals=6)) as s:
+            fresh = s.tune("ddot", _slow_p4e(), Context.OUT_OF_CACHE, 80000)
+        assert cached.search.best_cycles == fresh.search.best_cycles
+        with TuningSession(cfg) as s:
+            s.tune("ddot", _slow_p4e(), Context.OUT_OF_CACHE, 80000)
+            assert s.stats.evaluations == 0 and s.stats.cache_hits == 6
+
 
 # ---------------------------------------------------------------------------
 # checkpoint / resume
@@ -180,6 +210,12 @@ class _FlakyFKO:
             self.failures -= 1
             raise SimulationFault("injected")
         return self.real.compile(hil, params, debug_verify=debug_verify)
+
+
+def _faulting_job_worker(payload):
+    """A pool job worker whose search hit a SimulationFault."""
+    return {"ok": False, "error": "SimulationFault: injected",
+            "events": [], "stats": {}}
 
 
 class _SlowFKO:
@@ -319,6 +355,34 @@ class TestTuningJob:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(KeyError):
             TuningJob("zgemm", "p4e", Context.OUT_OF_CACHE, N)
+
+    def test_modified_machine_config_refused(self):
+        """A job names its machine by registry name, so a custom config
+        would silently be tuned as the registry machine."""
+        with pytest.raises(ValueError, match="TuningSession.tune"):
+            TuningJob("ddot", _slow_p4e(), Context.OUT_OF_CACHE, N)
+
+    def test_faulted_worker_job_is_one_error_not_rerun(self, monkeypatch,
+                                                       tmp_path):
+        """The simulator is deterministic: a job whose worker reports a
+        SimulationFault would fault identically again, so it is
+        recorded once and never re-run serially."""
+        import repro.search.engine as engine
+        monkeypatch.setattr(engine, "_job_worker", _faulting_job_worker)
+        reruns = []
+        monkeypatch.setattr(engine.TuningSession, "tune",
+                            lambda self, *a, **kw: reruns.append(a))
+        jobs = [TuningJob(k, "p4e", Context.OUT_OF_CACHE, N)
+                for k in ("ddot", "dasum")]
+        trace = tmp_path / "t.jsonl"
+        with TuningSession(_config(jobs=2, trace=str(trace))) as s:
+            batch = s.run(jobs)
+        assert reruns == []
+        assert batch.errors == {j.key(): "SimulationFault: injected"
+                                for j in jobs}
+        errors = [e["job"] for e in read_trace(str(trace))
+                  if e["event"] == "job-error"]
+        assert sorted(errors) == sorted(j.key() for j in jobs)
 
     def test_dict_roundtrip(self):
         job = TuningJob("ddot", "opteron", Context.IN_L2, 1024,

@@ -214,7 +214,7 @@ def _knob_names():
 
 
 def test_from_config_round_trips():
-    config = TuneConfig(max_evals=7, run_tester=False, strategy="anneal",
+    config = TuneConfig(max_evals=7, run_tester=False, strategy="genetic",
                         seed=3, fast_timing=False, observe=True,
                         verify_ir=True, min_gain=0.01,
                         enable_block_fetch=True, timeout=2.0,

@@ -1,6 +1,6 @@
 """Tests for the alternative search strategies (section 2.3's named
-alternatives: simulated annealing, genetic algorithms, plus random and
-exhaustive baselines)."""
+alternative, a genetic algorithm, plus the random and exhaustive
+baselines)."""
 
 import pytest
 
@@ -42,7 +42,6 @@ def _search(name, evaluate, space, start, max_evals, **opts):
 
 # registry names; the ids keep the long-standing test names
 ALL = [pytest.param("random", id="random_search"),
-       pytest.param("anneal", id="simulated_annealing"),
        pytest.param("genetic", id="genetic_search")]
 
 

@@ -114,11 +114,11 @@ class TestTuneRequestSchema:
         ({"kernel": "ddot"},
          "8bd26b72a6b226bcf7b504894811c46fdb2440391b8f0050daed8f6bcd88634b"),
         ({"kernel": "dgemm", "machine": "opteron",
-          "context": "in-l2-cache", "n": 128, "strategy": "anneal",
+          "context": "in-l2-cache", "n": 128, "strategy": "genetic",
           "seed": 7, "budget": 33, "observe": True, "verify_ir": True,
           "fast_timing": False, "min_gain": 0.01,
           "enable_block_fetch": True, "timeout": 2.5, "test": False},
-         "775f486b4b29950dedb0654dcf563f04f5aa8b86f19fb2163c75dd0bcb485196"),
+         "37cc8bfb99f1698e6192108aac7a74bebb6e20084b18da0e74e8b7d0494d9190"),
         ({"kernel": "sasum", "max_evals": 12},
          "dc98c760eecd700211898fc793892f2c949f0464dc0ea71058237835b667a2e5"),
     ], ids=["defaults", "every-field", "max-evals-alias"])
@@ -289,6 +289,39 @@ class TestServeResultStore:
         assert store.get("ff" + "0" * 62) is None
         assert len(store) == 1 and store.list() == [resp.to_dict()]
 
+    def test_retired_strategy_answer_still_lists_and_seeds(self, tmp_path):
+        """A store written when ``anneal`` was a strategy keeps serving:
+        its answer lists under ``/v1/results`` and seeds a warm start.
+        Responses carry no strategy, so retiring one strands nothing."""
+        from repro.kernels import get_kernel
+        from repro.machine import pentium4e
+        from repro.search import lookup_warm_start, tune_kernel
+        tuned = tune_kernel(get_kernel("dscal"), pentium4e(),
+                            Context.OUT_OF_CACHE, N,
+                            config=_config(strategy="random", max_evals=8))
+        result = tuned.to_dict()
+        result["search"]["history"] = [
+            ["explore" if phase == "random" else phase, key, cycles]
+            for phase, key, cycles in result["search"]["history"]]
+        old = TuneResponse(digest="ae" + "0" * 62, job_id="j-1",
+                           status="done", result=result, stats={})
+        results = tmp_path / "results"
+        ServeResultStore(str(results)).put(old.digest, old)
+        with start_server("127.0.0.1", 0, config=_config(),
+                          results_dir=str(results)) as handle:
+            listed = ServeClient(handle.url).results()
+        assert [r["digest"] for r in listed] == [old.digest]
+        warm, source = lookup_warm_start(results, "dscal", "p4e", "oc", N)
+        assert [w.key() for w in warm] == [tuned.params.key()]
+        assert source == f"dscal:p4e:out-of-cache:{N}"
+        trace = tmp_path / "trace.jsonl"
+        tune_kernel(get_kernel("dscal"), pentium4e(), Context.OUT_OF_CACHE,
+                    N, config=_config(max_evals=4, warm_start=str(results),
+                                      trace=str(trace)))
+        (event,) = [e for e in read_trace(str(trace))
+                    if e["event"] == "warm-start"]
+        assert event["candidates"] == 1 and event["source"] == source
+
 
 # ---------------------------------------------------------------------------
 # daemon: HTTP transport over the same job layer
@@ -370,6 +403,11 @@ class TestDaemon:
         client = ServeClient(daemon.url)
         with pytest.raises(ServiceError, match="400"):
             client._json("POST", "/v1/tune", {"schema": 1})
+        for retired in ("anneal", "transfer", "transfer:genetic"):
+            with pytest.raises(ServiceError,
+                               match="400.*unknown search strategy"):
+                client._json("POST", "/v1/tune",
+                             {"kernel": "dscal", "strategy": retired})
         with pytest.raises(ServiceError, match="404"):
             client.job("j-999999")
         with pytest.raises(ServiceError, match="404"):

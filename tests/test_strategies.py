@@ -29,8 +29,9 @@ from repro.timing.timer import KernelTiming
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-#: the non-line strategies (line is covered by the golden suite)
-SEEDED = ("random", "anneal", "genetic", "surrogate", "transfer")
+#: the non-line strategies (line is covered by the golden suite);
+#: ``transfer`` is the surrogate behind the warm-start wrapper
+SEEDED = ("random", "genetic", "surrogate", "transfer")
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +90,8 @@ class TestEvalKeyGolden:
 
 class TestRegistry:
     def test_all_strategies_registered(self):
-        assert set(searcher_names()) >= {"line", "random", "anneal",
-                                         "genetic", "exhaustive"}
+        assert searcher_names() == ["exhaustive", "genetic", "line",
+                                    "random", "surrogate"]
 
     def test_make_searcher_builds_each(self, fko_p4e, p4e, ddot_src):
         a = fko_p4e.analyze(ddot_src)
@@ -113,6 +114,19 @@ class TestRegistry:
     def test_config_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="line"):
             TuneConfig(strategy="hillclimb")
+
+    @pytest.mark.parametrize("name", ("anneal", "transfer",
+                                      "transfer:genetic"))
+    def test_retired_names_are_a_clean_error(self, name):
+        message = (f"unknown search strategy {name!r}; valid strategies: "
+                   f"exhaustive, genetic, line, random, surrogate")
+        with pytest.raises(ValueError) as ei:
+            TuneConfig(strategy=name)
+        assert str(ei.value) == message
+        from repro.cli import main
+        with pytest.raises(SystemExit) as ei:
+            main(["tune", "ddot", "--strategy", name])
+        assert ei.value.code == f"error: {message}"
 
     def test_line_is_the_registered_linesearch(self):
         assert SEARCHERS["line"] is LineSearch
@@ -205,30 +219,49 @@ N_OOC = 8000
 EVALS = 24
 
 
-def _tune(strategy, seed=3, jobs=1, kernel="dasum"):
+@pytest.fixture(scope="module")
+def warm_store(tmp_path_factory):
+    """A result store holding one dasum neighbor for ``transfer``."""
+    from repro.search import write_warm_entry
+    root = tmp_path_factory.mktemp("warm")
+    write_warm_entry(root, kernel="dasum", machine="p4e",
+                     context=Context.OUT_OF_CACHE, n=N_OOC,
+                     params=TransformParams(unroll=4), cycles=1.0)
+    return str(root)
+
+
+def _tune(strategy, seed=3, jobs=1, kernel="dasum", warm_start=None):
+    if strategy == "transfer":
+        strategy = "surrogate"
+    else:
+        warm_start = None
     cfg = TuneConfig(strategy=strategy, seed=seed, jobs=jobs,
-                     max_evals=EVALS, run_tester=False)
+                     max_evals=EVALS, run_tester=False,
+                     warm_start=warm_start)
     return tune_kernel(get_kernel(kernel), pentium4e(),
                        Context.OUT_OF_CACHE, N_OOC, config=cfg)
 
 
 class TestStrategyDeterminism:
     @pytest.mark.parametrize("strategy", SEEDED)
-    def test_same_seed_identical_result(self, strategy):
-        a = _tune(strategy).search.to_dict()
-        b = _tune(strategy).search.to_dict()
+    def test_same_seed_identical_result(self, strategy, warm_store):
+        a = _tune(strategy, warm_start=warm_store).search.to_dict()
+        b = _tune(strategy, warm_start=warm_store).search.to_dict()
         assert a == b   # includes full history, not just the winner
 
     @pytest.mark.parametrize("strategy", SEEDED)
-    def test_different_seed_changes_proposals(self, strategy):
-        a = _tune(strategy, seed=3).search
-        b = _tune(strategy, seed=4).search
+    def test_different_seed_changes_proposals(self, strategy, warm_store):
+        a = _tune(strategy, seed=3, warm_start=warm_store).search
+        b = _tune(strategy, seed=4, warm_start=warm_store).search
         assert [k for _, k, _ in a.history] != [k for _, k, _ in b.history]
 
     @pytest.mark.parametrize("strategy", ("line",) + SEEDED)
-    def test_jobs4_bit_identical_to_serial(self, strategy):
-        serial = _tune(strategy, jobs=1).search.to_dict()
-        parallel = _tune(strategy, jobs=4).search.to_dict()
+    def test_jobs4_bit_identical_to_serial(self, strategy, warm_store):
+        serial = _tune(strategy, jobs=1, warm_start=warm_store).search
+        parallel = _tune(strategy, jobs=4, warm_start=warm_store).search
+        if strategy == "transfer":
+            assert any(phase == "warm" for phase, _, _ in serial.history)
+        assert serial.to_dict() == parallel.to_dict()
         assert serial == parallel
 
 

@@ -1,16 +1,16 @@
-"""Tests for the surrogate and transfer strategies and their support
-layers: the generic feature encoding on :class:`SearchSpace`, the
-warm-start neighbor lookup with wire-schema canonicalization, and the
-crash-proofed curves/perf-diff reporting.
+"""Tests for the surrogate strategy, the warm-start transfer wrapper
+and their support layers: the generic feature encoding on
+:class:`SearchSpace`, the warm-start neighbor lookup with wire-schema
+canonicalization, and the crash-proofed curves/perf-diff reporting.
 
 The determinism suite here complements ``test_strategies.py`` (which
 already races every seeded strategy through the jobs=1 vs jobs=N
-bit-identity and same-seed parametrizations, now including
-``surrogate`` and ``transfer``): the golden ask-stream digest below
-pins the surrogate's exact proposal sequence, so an accidental change
-to the mirror rng, the model rng split, the EI tie-break or the
-batch composition shows up as a digest mismatch, not a silent quality
-drift.
+bit-identity and same-seed parametrizations, including ``surrogate``
+and the warm-started ``transfer`` wrapper): the golden ask-stream
+digest below pins the surrogate's exact proposal sequence, so an
+accidental change to the mirror rng, the model rng split, the EI
+tie-break or the batch composition shows up as a digest mismatch, not
+a silent quality drift.
 """
 
 import hashlib
@@ -31,10 +31,9 @@ from repro.fko import TransformParams
 from repro.machine import Context
 from repro.obs import aggregate_curves, collect_curves
 from repro.obs.perfdiff import diff_metrics, render_diff
-from repro.search import (SearchSpace, TuneConfig, build_space,
-                          lookup_warm_start, make_searcher, searcher_names,
-                          split_strategy, tune_kernel, valid_strategy,
-                          write_warm_entry)
+from repro.search import (SearchSpace, TransferSearch, TuneConfig,
+                          build_space, lookup_warm_start, make_searcher,
+                          searcher_names, tune_kernel, write_warm_entry)
 from repro.search.space import dim_get
 from repro.search.strategies import _fit_tree, _Forest, _RegressionTree
 from repro.service import TuneRequest
@@ -430,25 +429,23 @@ class TestModelEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# the transfer wrapper and the strategy-name grammar
+# the transfer wrapper (reached only through TuneConfig.warm_start)
 
 class TestTransfer:
-    def test_split_and_validate_compound_names(self):
-        assert split_strategy("surrogate") == ("surrogate", None)
-        assert split_strategy("transfer") == ("transfer", None)
-        assert split_strategy("transfer:genetic") == ("transfer", "genetic")
-        assert valid_strategy("transfer:genetic")
-        assert not valid_strategy("transfer:transfer")
-        assert not valid_strategy("transfer:bogus")
-        assert not valid_strategy("surrogate:genetic")
-        assert {"surrogate", "transfer"} <= set(searcher_names())
+    def test_retired_spellings_are_refused(self, ddot_space):
+        assert "transfer" not in searcher_names()
+        for name in ("transfer", "transfer:genetic", "surrogate:genetic"):
+            with pytest.raises(ValueError, match="unknown search strategy"):
+                TuneConfig(strategy=name)
+        with pytest.raises(SearchError, match="unknown search strategy"):
+            make_searcher("transfer", *ddot_space)
 
     def test_config_and_wire_accept_new_strategies(self):
-        for name in ("surrogate", "transfer", "transfer:genetic"):
-            assert TuneConfig(strategy=name).strategy == name
-            assert TuneRequest(kernel="ddot", strategy=name).digest()
+        assert TuneConfig(strategy="surrogate").strategy == "surrogate"
+        assert TuneRequest(kernel="ddot", strategy="surrogate").digest()
+        assert TuneConfig(strategy="genetic", warm_start="store").warm_start
         with pytest.raises(ValueError):
-            TuneConfig(strategy="transfer:nope")
+            TuneRequest(kernel="ddot", strategy="transfer")
 
     def test_warm_candidates_evaluated_right_after_start(self,
                                                          ddot_space):
@@ -456,8 +453,8 @@ class TestTransfer:
         from repro.search.space import dim_set
         cur = dim_get(start, "unroll")
         warm = dim_set(start, "unroll", 4 if cur != 4 else 2)
-        s = make_searcher("transfer", sp, start, max_evals=16, seed=0,
-                          warm=[warm], warm_source="test")
+        s = TransferSearch(sp, start, "surrogate", max_evals=16, seed=0,
+                           warm=[warm], warm_source="test")
         asked, res = _drive(s)
         assert asked[0] == start.key()
         assert asked[1] == warm.key()
@@ -468,10 +465,18 @@ class TestTransfer:
     def test_transfer_spends_full_budget(self, ddot_space):
         sp, start = ddot_space
         for inner in ("surrogate", "genetic", "random"):
-            s = make_searcher(f"transfer:{inner}", sp, start,
-                              max_evals=20, seed=1)
+            s = TransferSearch(sp, start, inner, max_evals=20, seed=1)
             _, res = _drive(s)
             assert res.n_evaluations == 20, inner
+
+    @pytest.mark.parametrize("inner", ("random", "surrogate"))
+    def test_empty_warm_list_is_the_inner_strategy(self, ddot_space, inner):
+        sp, start = ddot_space
+        _, wrapped = _drive(TransferSearch(sp, start, inner, max_evals=20,
+                                           seed=3))
+        _, plain = _drive(make_searcher(inner, sp, start, max_evals=20,
+                                        seed=3))
+        assert wrapped.to_dict() == plain.to_dict()
 
 
 # ---------------------------------------------------------------------------
