@@ -56,7 +56,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.fko import FKO, PrefetchParams, TransformParams
+from repro.fko import FKO, PrefetchParams, TransformParams, compile_kernel
 from repro.ir import PrefetchHint
 from repro.kernels import KERNEL_ORDER, get_kernel
 from repro.machine import (Context, LoopTimer, get_machine, opteron,
@@ -179,14 +179,30 @@ def _workload(quick: bool):
     return batches
 
 
-def _eval_batch(machine_name, context_value, kernel, n, keys, fast=True):
+class _ColdFKO(FKO):
+    """The unmemoized reference: FKO's front end and analysis, but
+    every compile runs the whole ``compile_kernel`` pipeline, and no
+    share key is offered, so no walk is shared either."""
+
+    def compile(self, source, params=None, debug_verify=False):
+        fn, noprefetch = self.front_end(source)
+        return compile_kernel(fn, self.machine, params,
+                              noprefetch=noprefetch,
+                              debug_verify=debug_verify,
+                              analysis=self.analyze(source))
+
+    def share_key(self, source, params=None, debug_verify=False):
+        return None
+
+
+def _eval_batch(machine_name, context_value, kernel, n, keys):
     """Run a batch of full evaluations the pre-batching way — fresh FKO
     per batch, no compile memo, no shared walks.  Returns (wall seconds,
     per-eval cycles).  Module level so worker processes can import it."""
     mach = get_machine(machine_name)
     spec = get_kernel(kernel)
-    fko = FKO(mach, prefix_cache=False)
-    timer = Timer(mach, Context(context_value), n, fast=fast)
+    fko = _ColdFKO(mach)
+    timer = Timer(mach, Context(context_value), n)
     cycles = []
     t0 = time.perf_counter()
     for unroll, ae in keys:
@@ -243,7 +259,7 @@ def _batched_run(batches):
         spec = get_kernel(kernel)
         fko = fkos.setdefault(mname, FKO(mach))
         timer = timers.setdefault((mname, ctxv, n),
-                                  Timer(mach, Context(ctxv), n, fast=True))
+                                  Timer(mach, Context(ctxv), n))
         flops = spec.flops(n)
         for unroll, ae in keys:
             params = TransformParams(sv=True, unroll=unroll, ae=ae)
@@ -317,16 +333,16 @@ def batched_throughput(quick: bool, reference: dict, ref_cycles: list,
 def _evaluate_batch(machine_name, context_value, kernel, n, keys,
                     observe=False):
     """The same work as ``_eval_batch`` but through the engine's
-    ``evaluate_params`` front door, with obs off or on.  Compile
-    caching is off to match the bare loop: every key in this workload
-    is a distinct compile prefix, so an enabled cache would only add
-    maintenance cost (snapshot clones on miss) and the comparison
-    would charge that to observability."""
+    ``evaluate_params`` front door, with obs off or on.  It compiles
+    on the same unmemoized ``_ColdFKO`` as the bare loop: every key in
+    this workload is a distinct compile prefix, so the compile memo
+    would only add maintenance cost (snapshot clones on miss) and the
+    comparison would charge that to observability."""
     from repro.search import evaluate_params
     mach = get_machine(machine_name)
     spec = get_kernel(kernel)
-    fko = FKO(mach, prefix_cache=False)
-    timer = Timer(mach, Context(context_value), n, fast=True)
+    fko = _ColdFKO(mach)
+    timer = Timer(mach, Context(context_value), n)
     flops = spec.flops(n)
     t0 = time.perf_counter()
     for unroll, ae in keys:

@@ -33,7 +33,7 @@ Quick start::
 # defined before the subpackage imports so that submodules (the search
 # engine's cache keys, the experiment store's filenames) can do
 # ``from .. import __version__`` without an import-order trap
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 from .errors import (HILError, HILSemanticError, HILSyntaxError, IRError,
                      IRVerifyError, KernelTestFailure, MachineError,

@@ -161,7 +161,7 @@ def cmd_compile(args) -> int:
 # ---------------------------------------------------------------------------
 # engine flags: generated from the TuneConfig fields
 
-#: flag spellings other than ``--<field-name>`` / ``--no-<field-name>``
+#: flag spellings other than ``--<field-name>``
 _FLAG_NAMES = {"jobs": ("--jobs", "-j"), "trace": ("--trace-out",),
                "run_tester": ("--test",)}
 #: the fields ``tune-all`` takes as flags: all but the live objects
@@ -176,11 +176,8 @@ _TUNE_FLAGS = tuple(n for n in _ENGINE_FLAGS
 
 def _flags(f: dataclasses.Field) -> Tuple[str, ...]:
     """The CLI spelling of one TuneConfig field: dashes for
-    underscores, ``--no-`` for a bool that defaults to True."""
-    if f.name in _FLAG_NAMES:
-        return _FLAG_NAMES[f.name]
-    prefix = "--no-" if f.default is True else "--"
-    return (prefix + f.name.replace("_", "-"),)
+    underscores."""
+    return _FLAG_NAMES.get(f.name, ("--" + f.name.replace("_", "-"),))
 
 
 def _flag_type(f: dataclasses.Field):
@@ -199,10 +196,9 @@ def add_config_flags(p, names) -> None:
             continue
         flags, help = _flags(f), f.metadata["help"]
         if isinstance(f.default, bool):
-            off = flags[0].startswith("--no-")
-            p.add_argument(*flags, dest=f.name, help=("turn off " + help
-                                                      if off else help),
-                           action="store_false" if off else "store_true")
+            # a bool flag turns its knob on (tune-all tests only on --test)
+            p.add_argument(*flags, dest=f.name, help=help,
+                           action="store_true")
         else:
             p.add_argument(*flags, dest=f.name, type=_flag_type(f),
                            default=f.default, help=help)

@@ -21,9 +21,10 @@ Setting ``REPRO_CACHE_DIR`` (or passing ``cache_dir``) additionally
 persists results to disk as JSON, the way an ATLAS install records its
 search results: a second run of the experiment suite reloads instead of
 re-tuning.  Rows are :class:`repro.records.RecordStore` records under
-``rows/``, each keyed by a SHA-256 over (package version, machine,
-context, N, kernel, method, strategy, seed), so a row is never reused
-across code changes or for another search.  A damaged row is a miss
+``rows/``, each keyed by the :func:`~repro.records.canonical_digest` of
+(package version, machine identity, context, N, kernel, method,
+strategy, seed), so a row is never reused across code changes, for
+another search or for a modified machine config.  A damaged row is a miss
 and is recomputed; a row the disk refuses leaves the cache cold.
 Since ``SearchResult`` round-trips through JSON, ifko rows reload
 complete with their search detail; the engine's per-evaluation cache
@@ -38,8 +39,6 @@ bit-identical answers, since the engine is deterministic.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import pathlib
 from dataclasses import dataclass, field
@@ -48,9 +47,9 @@ from typing import Dict, List, Optional, Tuple
 from .. import __version__
 from ..atlas import atlas_search
 from ..kernels import KERNEL_ORDER, get_kernel
-from ..machine import Context, canonical_machine
+from ..machine import Context, machine_ident
 from ..machine.config import MachineConfig
-from ..records import RecordStore
+from ..records import RecordStore, canonical_digest
 from ..refcomp import ALL_COMPILERS
 from ..search import SearchResult, TuneConfig, TunedKernel, TuningSession
 
@@ -121,11 +120,11 @@ class ResultStore:
     # optional JSON persistence (search results round-trip through
     # SearchResult.to_dict, so ifko rows reload with full detail)
     def _row_key(self, key) -> str:
-        """SHA-256 over everything that produced the row."""
-        mname, ctx, kernel, method = key
-        spec = [__version__, mname, ctx.value, self.n_for(ctx), kernel,
-                method, self.strategy, self.seed]
-        return hashlib.sha256(json.dumps(spec).encode()).hexdigest()
+        """The digest of everything that produced the row."""
+        ident, ctx, kernel, method = key
+        return canonical_digest([__version__, ident, ctx.value,
+                                 self.n_for(ctx), kernel, method,
+                                 self.strategy, self.seed])
 
     def _load_disk(self, key) -> Optional[MethodResult]:
         if self.rows is None:
@@ -157,9 +156,10 @@ class ResultStore:
 
     def get(self, machine: MachineConfig, context: Context, kernel: str,
             method: str) -> MethodResult:
-        # every spelling of one machine shares one row, and disk tags
-        # agree with service digests and warm-start lookups
-        key = (canonical_machine(machine), context, kernel, method)
+        # every spelling of one machine shares one row, a modified
+        # config gets its own, and a registry machine's disk tags agree
+        # with service digests and warm-start lookups
+        key = (machine_ident(machine), context, kernel, method)
         if key not in self._cache:
             disk = self._load_disk(key)
             if disk is not None:
@@ -223,6 +223,11 @@ class ResultStore:
         the winner recompiled from the daemon's response is
         bit-identical to an in-process tune."""
         if self.serve_url:
+            if ":" in machine_ident(machine):
+                raise ValueError(
+                    f"the serve wire names machines by registry name, but "
+                    f"this {machine.name!r} config differs from the "
+                    f"registry machine; tune it without serve_url")
             if self._serve_client is None:
                 from ..client import ServeClient
                 self._serve_client = ServeClient(self.serve_url)

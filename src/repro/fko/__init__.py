@@ -70,19 +70,18 @@ class FKO:
     value objects.
     """
 
-    def __init__(self, machine: MachineConfig, prefix_cache: bool = True):
+    def __init__(self, machine: MachineConfig):
         self.machine = machine
         #: source -> (lowered Function, noprefetch set, its analysis)
         self._source_cache = LRUCache(maxsize=64)
         #: post-AE IR snapshots keyed by (source, effective early params);
         #: entries are (Function, applied) and are cloned on every fork,
         #: so cached IR is never reachable from a caller
-        self._prefix_cache = LRUCache(maxsize=32)
+        self._snapshots = LRUCache(maxsize=32)
         #: finished CompiledKernels keyed by the *complete* effective
         #: parameter tuple — the maximal-depth prefix: when every
         #: transform resolves identically, the whole pipeline is shared
         self._full_cache = LRUCache(maxsize=256)
-        self.prefix_cache_enabled = prefix_cache
         # reuse counters (read by the search engine / benchmarks)
         self.prefix_hits = 0      # forked from a post-AE snapshot
         self.prefix_misses = 0    # ran the full pipeline
@@ -165,7 +164,7 @@ class FKO:
         # active: a cache hit would skip the per-pass spans a trace of
         # this eval is expected to carry, making observed traces depend
         # on eval order.  Observed compiles always run the full pipeline.
-        if not self.prefix_cache_enabled or _obs_active() is not None:
+        if _obs_active() is not None:
             return compile_kernel(fn, self.machine, params,
                                   noprefetch=set(noprefetch),
                                   debug_verify=debug_verify,
@@ -188,14 +187,13 @@ class FKO:
                                   allocation=hit.allocation)
 
         pkey = (source, prefix_key(params, analysis, debug_verify))
-        snap = self._prefix_cache.get(pkey)
+        snap = self._snapshots.get(pkey)
         if snap is None:
             self.prefix_misses += 1
             work, analysis, params, applied = compile_prefix(
                 fn, self.machine, params, set(noprefetch), debug_verify,
                 analysis)
-            self._prefix_cache.put(pkey,
-                                   (clone_function(work), dict(applied)))
+            self._snapshots.put(pkey, (clone_function(work), dict(applied)))
             compiled = finish_kernel(work, self.machine, params, analysis,
                                      applied, debug_verify)
         else:
@@ -219,9 +217,8 @@ class FKO:
         requests with equal share keys produce bit-identical kernels,
         so downstream consumers (the engine's shared-walk timing) may
         treat their derived results as interchangeable.  ``None`` for
-        raw :class:`Function` sources and when caching is disabled —
-        callers then never share."""
-        if isinstance(source, Function) or not self.prefix_cache_enabled:
+        raw :class:`Function` sources — callers then never share."""
+        if isinstance(source, Function):
             return None
         source = self._effective_source(source, params)
         analysis = self.analyze(source)

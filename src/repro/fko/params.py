@@ -84,9 +84,11 @@ class TransformParams:
         if self.register_allocation not in ("global", "local", "off"):
             raise ValueError(
                 f"unknown register allocator {self.register_allocation!r}")
-        # drop disabled entries so "no extension" has one spelling
+        # drop disabled entries so "no extension" has one spelling, and
+        # cast names to str: a numpy string would change key()'s repr
         if self.ext:
-            self.ext = {k: int(v) for k, v in self.ext.items() if int(v)}
+            self.ext = {str(k): int(v) for k, v in self.ext.items()
+                        if int(v)}
         for k, v in self.ext.items():
             if v < 0:
                 raise ValueError(f"extension {k!r} must be >= 0, got {v}")
@@ -131,12 +133,10 @@ class TransformParams:
     def with_ext(self, name: str, value: int) -> "TransformParams":
         """A copy with one extension entry set (0 removes it)."""
         new = self.copy()
-        ext = dict(new.ext)
         if int(value):
-            ext[name] = int(value)
+            new.ext[str(name)] = int(value)
         else:
-            ext.pop(name, None)
-        new.ext = ext
+            new.ext.pop(name, None)
         return new
 
     def with_pf(self, array: str, hint: Optional[PrefetchHint],

@@ -9,7 +9,7 @@
 """
 
 from .config import CacheConfig, ExecClass, MachineConfig, \
-    canonical_machine, get_machine, opteron, pentium4e
+    canonical_machine, get_machine, machine_ident, opteron, pentium4e
 from .registers import GP_NAMES, SP, XMM_NAMES, gp_regs, xmm_regs
 from .loopinfo import LoopSummary, StreamInfo, summarize
 from .timing import (Context, LoopTimer, TimingResult, TimingStats,
@@ -19,7 +19,7 @@ from .interp import Interpreter, RunResult, run_function
 
 __all__ = [
     "CacheConfig", "ExecClass", "MachineConfig", "canonical_machine",
-    "get_machine", "opteron", "pentium4e",
+    "get_machine", "machine_ident", "opteron", "pentium4e",
     "GP_NAMES", "SP", "XMM_NAMES", "gp_regs", "xmm_regs",
     "LoopSummary", "StreamInfo", "summarize",
     "Context", "LoopTimer", "TimingResult", "TimingStats",

@@ -24,10 +24,12 @@ The mechanisms the paper's evaluation turns on are all visible here:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from ..ir.instructions import PrefetchHint
+from ..records import canonical_digest
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,7 @@ def _classes(scalar_fp_lat: Dict[str, int], **overrides) -> Dict[str, ExecClass]
     return table
 
 
+@functools.cache
 def pentium4e() -> MachineConfig:
     """2.8 GHz Pentium 4E (Prescott, NetBurst).
 
@@ -202,6 +205,7 @@ def pentium4e() -> MachineConfig:
     )
 
 
+@functools.cache
 def opteron() -> MachineConfig:
     """1.6 GHz Opteron (K8).
 
@@ -261,6 +265,8 @@ def opteron() -> MachineConfig:
     )
 
 
+#: cached factories: each frozen registry config is built once and
+#: shared, so telling it from a modified copy is an identity check
 _MACHINES = {"p4e": pentium4e, "opteron": opteron}
 
 #: every accepted spelling (lowercased, '-' and '_' dropped) -> its
@@ -281,6 +287,23 @@ def canonical_machine(name: Union[str, MachineConfig]) -> str:
     except KeyError:
         raise KeyError(f"unknown machine {spelled!r}; known: p4e, "
                        f"opteron") from None
+
+
+def machine_ident(machine: MachineConfig) -> str:
+    """The identity stored keys give a machine config: its bare
+    canonical name when it equals that registry machine, else
+    ``<name>:<digest of the config's repr>``, so a modified config
+    never reads the registry machine's records (and only a registry
+    machine's identity has no ``:``)."""
+    try:
+        name = canonical_machine(machine)
+        registry = get_machine(name)
+    except KeyError:
+        name, registry = machine.name.lower(), None
+    # the registry's own object, the common case, needs no field compare
+    if registry is machine or registry == machine:
+        return name
+    return f"{name}:{canonical_digest(repr(machine))}"
 
 
 def get_machine(name: str) -> MachineConfig:

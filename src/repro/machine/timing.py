@@ -752,6 +752,6 @@ class LoopTimer:
 
 
 def time_kernel(summary: LoopSummary, mach: MachineConfig,
-                context: Context, n: int, fast: bool = True) -> TimingResult:
+                context: Context, n: int) -> TimingResult:
     """Convenience wrapper: one invocation of the timing model."""
-    return LoopTimer(mach, context, fast=fast).time(summary, n)
+    return LoopTimer(mach, context).time(summary, n)

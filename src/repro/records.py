@@ -19,17 +19,28 @@ their key function and their validation; none of them opens a file.
   would cost every cache store a disk round trip.
 * :class:`RecordStore` maps a hex digest to ``root/<d[:2]>/<d>.json``,
   sharded by the first two hex digits so no directory grows huge.
+* :func:`canonical_digest` is the one key function: every store names
+  its records by the SHA-256 of a JSON spelling of what made them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
 import tempfile
 from typing import Iterator, Optional, Tuple
 
-__all__ = ["RecordStore", "read_json", "write_json"]
+__all__ = ["RecordStore", "canonical_digest", "read_json", "write_json"]
+
+
+def canonical_digest(obj) -> str:
+    """SHA-256 of ``obj`` as sorted-key JSON, so one spec has one
+    spelling; a value JSON cannot spell raises instead of hashing an
+    incidental ``repr``."""
+    blob = json.dumps(obj, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def read_json(path) -> Optional[dict]:

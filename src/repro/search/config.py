@@ -70,10 +70,6 @@ class TuneConfig:
                 "search), random, genetic, exhaustive or surrogate")
     #: the line search ignores it: its sweep is deterministic
     seed: int = _knob(0, "random seed of the strategy")
-    #: the escape hatch the equivalence suite exercises
-    fast_timing: bool = _knob(
-        True, "out-of-cache steady-state extrapolation in the timing "
-              "model (bit-identical to the full walk, just faster)")
     #: schema v2 ``pass`` / ``attribution`` events.  Observation never
     #: perturbs results: cycles, cache keys and search decisions are
     #: bit-identical with it on or off
@@ -91,12 +87,6 @@ class TuneConfig:
     batch_size: int = _knob(
         1, "evaluate candidates in prefix-sharing groups of at most "
            "this many (1 = per-candidate dispatch)")
-    #: bit-identical by construction; off forces every evaluation
-    #: through the full pipeline and its own walk — the escape hatch
-    #: the equivalence suite exercises
-    prefix_cache: bool = _knob(
-        True, "prefix-memoized compilation and shared-walk timing "
-              "(bit-identical, just faster)")
     #: an operational knob like ``cache_dir`` — never part of a
     #: request's wire identity
     warm_start: Optional[str] = _knob(

@@ -58,7 +58,7 @@ from ..hil.tiling import nest_info
 from ..kernels import KERNEL_ORDER, REGISTRY, get_kernel
 from ..kernels.blas1 import KernelSpec
 from ..machine import (Context, canonical_machine, get_machine,
-                       parse_context, summarize)
+                       machine_ident, parse_context, summarize)
 from ..machine.config import MachineConfig
 from ..obs import metrics as _metrics
 from ..obs.core import Collector, use as _obs_use
@@ -68,7 +68,7 @@ from ..timing.timer import Timer, default_n
 from ..util import LRUCache
 from .config import TuneConfig
 from .drivers import TunedKernel
-from .evalcache import EvalCache, eval_key, machine_ident
+from .evalcache import EvalCache, eval_key
 from .scheduler import Scheduler
 from .space import build_space
 from .strategies import Searcher, TransferSearch, make_searcher
@@ -149,9 +149,9 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
                 compiled = fko.compile(hil, params, debug_verify=verify_ir)
             # the share key asserts the compile's complete effective
             # identity, letting the timer reuse the walk of an earlier
-            # bit-identical kernel (None when caching is disabled);
-            # on a memoized walk the summary itself is skipped — the
-            # shared key guarantees it would have been identical
+            # bit-identical kernel; on a memoized walk the summary
+            # itself is skipped — the shared key guarantees it would
+            # have been identical
             share = fko.share_key(hil, params, debug_verify=verify_ir)
             base = timer.peek_base(share)
             if base is None:
@@ -179,31 +179,29 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
 class _Tools:
     """Memoized FKO/Timer pairs — every candidate of a sweep shares
     them, and so do the FKO-default, ATLAS and reference-compiler
-    builds of an experiment store.  One FKO per (machine,
-    prefix_cache): its compile caches are context-independent, so an
-    (OOC, in-L2) sweep shares compiles; one Timer (and its walk memos)
-    per (machine, context, n, fast).  A machine is identified by its
-    whole config, not its name, so a modified registry machine never
-    borrows the registry machine's caches.  Bounded, because a long
-    tune-all batch walks many (machine, context, N) combinations
-    through the same process."""
+    builds of an experiment store.  One FKO per machine: its compile
+    caches are context-independent, so an (OOC, in-L2) sweep shares
+    compiles; one Timer (and its walk memos) per (machine, context, n).
+    A machine is identified by its whole config, not its name, so a
+    modified registry machine never borrows the registry machine's
+    caches.  Bounded, because a long tune-all batch walks many
+    (machine, context, N) combinations through the same process."""
 
     def __init__(self):
         self._fkos = LRUCache(maxsize=4)
         self._timers = LRUCache(maxsize=8)
 
     def get(self, machine: MachineConfig, context: Context,
-            n: int, fast: bool, prefix_cache: bool) -> Tuple[FKO, Timer]:
+            n: int) -> Tuple[FKO, Timer]:
         ident = repr(machine)
-        fkey = (ident, bool(prefix_cache))
-        tkey = (ident, context.value, int(n), bool(fast))
-        fko = self._fkos.get(fkey)
+        tkey = (ident, context.value, int(n))
+        fko = self._fkos.get(ident)
         if fko is None:
-            fko = FKO(machine, prefix_cache=prefix_cache)
-            self._fkos.put(fkey, fko)
+            fko = FKO(machine)
+            self._fkos.put(ident, fko)
         timer = self._timers.get(tkey)
         if timer is None:
-            timer = Timer(machine, context, n, fast=fast)
+            timer = Timer(machine, context, n)
             self._timers.put(tkey, timer)
         return fko, timer
 
@@ -245,8 +243,7 @@ _WORKER_TOOLS = _Tools()
 def _eval_group_worker(payload: Dict) -> Tuple[List[Dict], Dict[str, int]]:
     """Evaluate one candidate group in a worker (within-sweep fan-out)."""
     fko, timer = _WORKER_TOOLS.get(payload["machine"],
-                                   Context(payload["context"]), payload["n"],
-                                   payload["fast"], payload["prefix_cache"])
+                                   Context(payload["context"]), payload["n"])
     return _eval_group(fko, timer, payload,
                        [TransformParams.from_dict(p)
                         for p in payload["params_list"]])
@@ -304,14 +301,13 @@ class TuningJob:
         if isinstance(self.kernel, KernelSpec):
             self.kernel = self.kernel.name
         if isinstance(self.machine, MachineConfig):
-            config = self.machine
-            if get_machine(config.name) != config:
+            if ":" in machine_ident(self.machine):
                 raise ValueError(
                     f"TuningJob names machines by registry name, but this "
-                    f"{config.name!r} config differs from the registry "
-                    f"machine; tune a custom MachineConfig with "
+                    f"{self.machine.name!r} config differs from the "
+                    f"registry machine; tune a custom MachineConfig with "
                     f"TuningSession.tune")
-            self.machine = config.name
+            self.machine = self.machine.name
         # canonicalize aliases ("P4E", "pentium4", ...) so checkpoint
         # keys match however the job was constructed
         self.machine = canonical_machine(self.machine)
@@ -438,8 +434,7 @@ class _Evaluator:
                         "observe": config.observe,
                         "verify_ir": config.verify_ir,
                         "machine": machine, "context": context.value,
-                        "n": n, "fast": config.fast_timing,
-                        "prefix_cache": config.prefix_cache}
+                        "n": n}
 
     def _phase(self) -> str:
         return self.search.phase if self.search is not None else ""
@@ -802,8 +797,7 @@ class TuningSession:
         times on the session's behalf (the experiment store's ATLAS and
         reference-compiler rows) share them, and with them one set of
         compile caches per machine and one walk memo per timer."""
-        return self._tools.get(machine, context, n, self.config.fast_timing,
-                               self.config.prefix_cache)
+        return self._tools.get(machine, context, n)
 
     def compile_default(self, spec: Union[str, KernelSpec],
                         machine: Union[str, MachineConfig],

@@ -8,49 +8,35 @@ cacheable *across runs and processes* — the way an ATLAS install
 records its search so a reinstall does not re-time the world.
 
 Each entry is one :class:`repro.records.RecordStore` record named by
-:func:`eval_key`, the SHA-256 of ``(hil_hash, machine, context, n,
-params.key(), __version__)``.  Including ``__version__`` in the key
-means stale entries are never reused across code changes — they are
-simply never looked up again.
+:func:`eval_key`, the :func:`~repro.records.canonical_digest` of the
+kernel source, machine identity, context, n, ``params.key()`` and
+``__version__``.  Including ``__version__`` in the key means stale
+entries are never reused across code changes — they are simply never
+looked up again.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Dict, Optional, Tuple
 
-from ..machine import get_machine
-from ..machine.config import MachineConfig
-from ..records import RecordStore
+from ..records import RecordStore, canonical_digest
 
 
-def machine_ident(machine: MachineConfig) -> str:
-    """The machine part of an :func:`eval_key`: the config's name when
-    it equals the registry machine of that name, else the name plus the
-    SHA-256 of the config's ``repr``, so a modified config never reads
-    the registry machine's entries."""
-    try:
-        if get_machine(machine.name) == machine:
-            return machine.name
-    except KeyError:
-        pass
-    digest = hashlib.sha256(repr(machine).encode()).hexdigest()
-    return f"{machine.name}:{digest}"
-
-
-def eval_key(hil: str, machine_name: str, context, n: int,
+def eval_key(hil: str, machine: str, context, n: int,
              params_key: Tuple, version: str) -> str:
     """SHA-256 digest naming one evaluation.
 
+    ``machine`` is :func:`repro.machine.machine_ident` of the config;
     ``context`` may be a :class:`repro.machine.Context` or its string
-    value; ``params_key`` is ``TransformParams.key()`` (a nested tuple
-    of primitives, so its ``repr`` is stable).
+    value; ``params_key`` is ``TransformParams.key()`` (nested tuples
+    of primitives, which JSON spells as lists).
     """
-    hil_hash = hashlib.sha256(hil.encode()).hexdigest()
-    ctx = getattr(context, "value", str(context))
-    blob = repr((hil_hash, machine_name, ctx, int(n), params_key, version))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_digest({"hil": hil, "machine": machine,
+                             "context": getattr(context, "value",
+                                                str(context)),
+                             "n": int(n), "params": params_key,
+                             "v": version})
 
 
 class EvalCache(RecordStore):

@@ -345,7 +345,8 @@ def _neighbor(space: SearchSpace, rng: np.random.Generator,
     walk; ``coarse`` moves redraw the chosen coordinate uniformly — a
     Gibbs step that crosses deceptive valleys (e.g. a prefetch distance
     whose only good value is "off") in one proposal."""
-    move = rng.choice(_move_list(space))
+    moves = _move_list(space)
+    move = moves[int(rng.integers(len(moves)))]
 
     def step(options, value):
         options = list(options)

@@ -22,14 +22,13 @@ their defaults, and a schema number from the future is refused loudly.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
 from .. import __version__
 from ..kernels import REGISTRY
 from ..machine import canonical_machine, parse_context
+from ..records import canonical_digest
 from ..search.config import TuneConfig
 from ..search.drivers import TunedKernel
 from ..search.engine import job_key
@@ -46,8 +45,7 @@ def history_digest(search: Optional[SearchResult]) -> Optional[str]:
     API."""
     if search is None:
         return None
-    blob = json.dumps(search.to_dict()["history"], sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_digest(search.to_dict()["history"])
 
 
 #: the request fields that name the problem; every other field is a
@@ -75,7 +73,6 @@ class TuneRequest:
     budget: int = 400
     observe: bool = False
     verify_ir: bool = False
-    fast_timing: bool = True
     min_gain: float = 0.005
     enable_block_fetch: bool = False
     timeout: Optional[float] = None
@@ -110,9 +107,7 @@ class TuneRequest:
         problem (machine aliases, context short forms, defaulted N)
         digests identically; any field that could change the answer —
         including the code version — changes the digest."""
-        blob = json.dumps({"v": __version__, **self.canonical()},
-                          sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return canonical_digest({"v": __version__, **self.canonical()})
 
     def key(self) -> str:
         """Human-readable job key (matches the engine's trace keys)."""

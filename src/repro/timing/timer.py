@@ -72,23 +72,21 @@ class KernelTiming:
 
 class Timer:
     def __init__(self, machine: MachineConfig, context: Context,
-                 n: int, repeats: int = 6, noise: float = 0.003,
-                 fast: bool = True):
+                 n: int, repeats: int = 6, noise: float = 0.003):
         self.machine = machine
         self.context = context
         self.n = n
         self.repeats = repeats
         self.noise = noise
-        self.fast = fast
-        self._loop_timer = LoopTimer(machine, context, fast=fast)
+        self._loop_timer = LoopTimer(machine, context)
         #: base (pre-noise) walk results keyed by a caller-supplied share
         #: key.  A share key asserts "this summary's content is identical
         #: to every other summary passed under the same key" — the engine
         #: uses FKO's complete effective-parameter key, which determines
         #: the compiled IR (and hence the summary) bit for bit.  Base
         #: timings are pure functions of (summary, source, tiles,
-        #: machine, context, n) — ``fast`` never changes a number — so
-        #: serving a cached one is bit-identical to re-timing.
+        #: machine, context, n), so serving a cached one is
+        #: bit-identical to re-timing.
         self._base_cache = LRUCache(maxsize=256)
         self.base_hits = 0
         self.base_misses = 0

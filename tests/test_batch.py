@@ -16,8 +16,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.fko import FKO, TransformParams
-from repro.ir.printer import canonical_function_text
+from repro.fko import FKO, TransformParams, compile_kernel
+from repro.ir.printer import canonical_function_text, format_function
 from repro.kernels import get_kernel
 from repro.machine import Context, get_machine
 from repro.machine.loopinfo import summarize
@@ -49,12 +49,11 @@ def _run(strategy, **cfg_kw):
 class TestBatchedBitIdentity:
     """Every (strategy, jobs, batch_size, observe) combination must land
     on the same best cycles and the same evaluation history as the
-    uncached, unbatched serial reference."""
+    unbatched serial reference."""
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return {s: _run(s, jobs=1, batch_size=1, prefix_cache=False)
-                for s in STRATEGIES}
+        return {s: _run(s, jobs=1, batch_size=1) for s in STRATEGIES}
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_batched_serial(self, reference, strategy):
@@ -77,6 +76,72 @@ class TestBatchedBitIdentity:
         assert stats.batch_groups > 0
         assert stats.batch_size_total >= stats.batch_groups
         assert stats.batch_prefix_hits + stats.batch_prefix_misses > 0
+
+
+# ---------------------------------------------------------------------------
+# memoized compile and shared walk == the unmemoized pipeline, per candidate
+
+def _cold_compile(fko, hil, params):
+    """The unmemoized pipeline on exactly what ``FKO.compile`` sees:
+    the tiled source's fresh lowering and its analysis."""
+    source = FKO._effective_source(hil, params)
+    fn, noprefetch = fko.front_end(source)
+    return compile_kernel(fn, fko.machine, params, noprefetch=noprefetch,
+                          analysis=fko.analyze(source))
+
+
+def _asked_candidates(monkeypatch, strategy, kernel, machine, n):
+    """Every (fko, timer, hil, params) the engine evaluates for one
+    serial search, in order."""
+    import repro.search.engine as engine
+    seen = []
+    real = engine.evaluate_params
+
+    def spy(fko, timer, hil, params, *args, **kwargs):
+        seen.append((fko, timer, hil, params))
+        return real(fko, timer, hil, params, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "evaluate_params", spy)
+    cfg = TuneConfig(strategy=strategy, max_evals=10, seed=7,
+                     run_tester=False)
+    with TuningSession(cfg) as s:
+        s.tune(kernel, machine, Context.OUT_OF_CACHE, n)
+    return seen
+
+
+class TestMemoizedEqualsCold:
+    """The compile memo and the share-keyed walk memo have no off
+    switch, so each is checked against its unmemoized reference on
+    every candidate each strategy asks for: ``FKO.compile`` against
+    ``compile_kernel`` (IR text, applied transforms, spills) and
+    ``Timer.base`` under the share key against a fresh timer's
+    unshared walk."""
+
+    # exhaustive plans its whole grid whatever the budget, which for
+    # dgemm's tile dimensions costs seconds, so it runs on daxpy only
+    @pytest.mark.parametrize("strategy, kernel, machine, n", [
+        *((s, "daxpy", "opteron", 80000) for s in STRATEGIES),
+        ("exhaustive", "daxpy", "opteron", 80000),
+        *((s, "dgemm", "p4e", 64) for s in STRATEGIES)])
+    def test_every_asked_candidate(self, monkeypatch, strategy, kernel,
+                                   machine, n):
+        seen = _asked_candidates(monkeypatch, strategy, kernel, machine, n)
+        assert len(seen) == 10
+        for fko, timer, hil, params in seen:
+            assert all(type(k) is str for k in params.ext)
+            memo = fko.compile(hil, params)
+            cold = _cold_compile(fko, hil, params)
+            assert format_function(memo.fn) == format_function(cold.fn)
+            assert memo.applied == cold.applied
+            assert (getattr(memo.allocation, "n_spilled", None)
+                    == getattr(cold.allocation, "n_spilled", None))
+            tiles = params.tiles()
+            shared = timer.base(summarize(memo.fn),
+                                fko.share_key(hil, params),
+                                source=hil, tiles=tiles)
+            fresh = Timer(timer.machine, timer.context, timer.n).base(
+                summarize(cold.fn), None, source=hil, tiles=tiles)
+            assert shared == fresh, params.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +341,8 @@ class TestConfigAndKeys:
         silently invalidates every persisted cache.  Pinned digest."""
         key = eval_key("kernel src", "opteron", "out-of-cache", 80000,
                        (("u", 4),), "v1")
-        assert key == ("2b739b607a43be44ea8586d5f6a4cd55"
-                       "e668cbd16db1824a186f2a803fa9a2ae")
+        assert key == ("5d79b9f85b78e390c13462615ee2fe0d"
+                       "3d35d913bd67b91e97f9d1a3f61133bd")
 
     def test_eval_key_accepts_context_enum_or_string(self):
         a = eval_key("src", "p4e", Context.OUT_OF_CACHE, 80000, (), "v1")

@@ -151,11 +151,11 @@ class TestEvalCache:
     def test_modified_machine_gets_its_own_entries(self, tmp_path):
         """A config that keeps a registry name must not read the
         registry machine's entries; the registry machine's key is its
-        bare name, so existing caches stay warm."""
-        from repro.search.evalcache import machine_ident
+        bare canonical name."""
+        from repro.machine import machine_ident
         p4e = get_machine("p4e")
-        assert machine_ident(p4e) == p4e.name
-        assert machine_ident(_slow_p4e()).startswith(p4e.name + ":")
+        assert machine_ident(p4e) == "p4e"
+        assert machine_ident(_slow_p4e()).startswith("p4e:")
         cfg = _config(max_evals=6, cache_dir=str(tmp_path / "evals"))
         with TuningSession(cfg) as s:
             s.tune("ddot", p4e, Context.OUT_OF_CACHE, 80000)

@@ -15,6 +15,9 @@ validation:
   fails loudly;
 * two processes writing the same record concurrently leave a record
   that parses.
+
+The tests after the matrix pin the one key helper the keyed stores
+share, and check that records keyed before it read as misses.
 """
 
 import multiprocessing
@@ -28,7 +31,8 @@ import repro
 from repro.experiments.store import MethodResult, ResultStore
 from repro.fko import TransformParams
 from repro.machine import Context
-from repro.records import RecordStore, read_json, write_json
+from repro.records import (RecordStore, canonical_digest, read_json,
+                           write_json)
 from repro.search import (EvalCache, TuneConfig, TuningSession, eval_key,
                           load_entries, write_warm_entry)
 from repro.search import engine as engine_mod
@@ -280,3 +284,108 @@ class TestRecordStore:
 
     def test_read_json_of_a_directory_is_none(self, tmp_path):
         assert read_json(tmp_path) is None
+
+
+# ---------------------------------------------------------------------------
+# one key helper for the three keyed stores, and records keyed before it
+
+#: the modules whose key functions name stored records
+KEYED = ("repro.search.evalcache", "repro.service.schema",
+         "repro.experiments.store")
+
+
+def test_canonical_digest_is_sha256_of_sorted_json():
+    import hashlib
+    want = hashlib.sha256(b'{"a": [1, 2], "b": "x"}').hexdigest()
+    assert canonical_digest({"b": "x", "a": (1, 2)}) == want
+
+
+def test_every_store_keys_through_the_helper(monkeypatch):
+    """The eval cache, the serve store and the experiment rows hash
+    nothing themselves: each key is the helper's answer for the spec."""
+    import importlib
+    import inspect
+    specs = []
+
+    def fake(obj):
+        specs.append(obj)
+        return f"key-{len(specs)}"
+
+    for name in KEYED:
+        module = importlib.import_module(name)
+        assert module.canonical_digest is canonical_digest
+        assert "hashlib" not in inspect.getsource(module)
+        monkeypatch.setattr(module, "canonical_digest", fake)
+    version = repro.__version__
+    assert eval_key("hil", "p4e", Context.OUT_OF_CACHE, N, ("k",),
+                    version) == "key-1"
+    assert _request().digest() == "key-2"
+    assert ResultStore(quick=True)._row_key(RowsView.KEY) == "key-3"
+    assert specs == [
+        {"hil": "hil", "machine": "p4e", "context": "out-of-cache",
+         "n": N, "params": ("k",), "v": version},
+        {"v": version, **_request().canonical()},
+        [version, "p4e", Context.IN_L2.value, 1024, "sscal", "gcc+ref",
+         "line", 0]]
+
+
+def _old_eval_key(hil, machine, context, n, params_key, version):
+    """The eval key before the shared helper: SHA-256 over a repr."""
+    import hashlib
+    hil_hash = hashlib.sha256(hil.encode()).hexdigest()
+    blob = repr((hil_hash, machine, context.value, int(n), params_key,
+                 version))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_old_format_eval_cache_reads_as_counted_misses(tmp_path,
+                                                        monkeypatch):
+    cfg = TuneConfig(max_evals=6, run_tester=False,
+                     cache_dir=str(tmp_path))
+    with monkeypatch.context() as m:
+        m.setattr(engine_mod, "eval_key",
+                  lambda hil, machine, ctx, n, key, version: _old_eval_key(
+                      hil, "P4E", ctx, n, key, "1.1.0"))
+        with TuningSession(cfg) as s:
+            s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
+    assert len(EvalCache(str(tmp_path))) == 6
+    with TuningSession(cfg) as s:
+        s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
+        assert (s.stats.cache_hits, s.stats.evaluations) == (0, 6)
+    assert len(EvalCache(str(tmp_path))) == 12
+
+
+def test_old_serve_record_lists_and_seeds_warm_start(tmp_path):
+    """A record stored under the pre-helper request digest, whose
+    request still carries ``fast_timing``: listed, a warm-start seed,
+    and a plain miss for the same request today."""
+    import hashlib
+    import json
+    from repro.search import lookup_warm_start
+    from repro.service.jobs import JobManager
+    request = TuneRequest(kernel="ddot", n=1000, budget=3, test=False)
+    with JobManager(TuneConfig(run_tester=False),
+                    results_dir=str(tmp_path)) as manager:
+        manager.run_inline(request)
+    (path,) = _record_files(tmp_path)
+    record = read_json(path)
+    old_request = {**request.canonical(), "fast_timing": True}
+    old = hashlib.sha256(json.dumps({"v": "1.1.0", **old_request},
+                                    sort_keys=True).encode()).hexdigest()
+    path.unlink()
+    store = ServeResultStore(tmp_path)
+    store.put(old, TuneResponse.from_dict({**record, "digest": old}))
+    write_json(store.path(old), {**read_json(store.path(old)),
+                                 "request": {"schema": 1, **old_request}})
+    assert TuneRequest.from_dict(read_json(store.path(old))["request"]) \
+        == request
+    with JobManager(TuneConfig(run_tester=False),
+                    results_dir=str(tmp_path)) as manager:
+        assert [r["digest"] for r in manager.results()] == [old]
+        job, how = manager.submit(request)
+        assert how == "new"
+    params, nearest = lookup_warm_start(tmp_path, "ddot", "p4e",
+                                        "out-of-cache", 1000)
+    assert [p.key() for p in params] == [
+        TransformParams.from_dict(record["result"]["params"]).key()]
+    assert nearest == "ddot:p4e:out-of-cache:1000"

@@ -137,20 +137,21 @@ def test_every_field_has_a_flag():
 
 
 #: every engine flag spelling each subcommand accepted before the flags
-#: were generated (``--test-best`` aside: it was folded into the tester)
+#: were generated (``--test-best`` aside: it was folded into the tester;
+#: ``--no-fast-timing`` and ``--no-prefix-cache`` aside: their switches
+#: are deleted)
 PARENT_FLAGS = {
     "tune": ["-c oc", "--context ic", "--n 100", "--max-evals 5",
              "--strategy random", "--seed 3", "--warm-start D", "--jobs 2",
              "-j 2", "--cache-dir D", "--trace-out F", "--timeout 1.5",
-             "--no-fast-timing", "--batch-size 4", "--no-prefix-cache",
-             "--observe", "--verify-ir", "--enable-block-fetch",
-             "--serve-url U", "--asm", "--verbose", "-v", "-m opteron",
+             "--batch-size 4", "--observe", "--verify-ir",
+             "--enable-block-fetch", "--serve-url U", "--asm", "--verbose", "-v", "-m opteron",
              "--machine p4e"],
     "tune-all": ["-c oc", "--context ic", "--n 100", "--max-evals 5",
                  "--strategy random", "--seed 3", "--warm-start D",
                  "--jobs 2", "-j 2", "--cache-dir D", "--trace-out F",
-                 "--timeout 1.5", "--no-fast-timing", "--batch-size 4",
-                 "--no-prefix-cache", "--observe", "--verify-ir",
+                 "--timeout 1.5", "--batch-size 4", "--observe",
+                 "--verify-ir",
                  "--resume F", "--test", "--kernels ddot",
                  "--serve-url U", "-m opteron", "--machine p4e"],
     "serve": ["--host 0.0.0.0", "--port 0", "--jobs 2", "-j 2",
@@ -173,14 +174,26 @@ def test_test_best_flag_is_gone(head):
     assert "test_best" not in {f.name for f in dataclasses.fields(TuneConfig)}
 
 
+@pytest.mark.parametrize("head", [["tune", "ddot"], ["tune-all"],
+                                  ["serve"]])
+@pytest.mark.parametrize("flag", ["--no-fast-timing", "--no-prefix-cache"])
+def test_switches_that_cannot_change_an_answer_are_gone(head, flag):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(head + [flag])
+    names = {f.name for f in dataclasses.fields(TuneConfig)}
+    assert not names & {"fast_timing", "prefix_cache"}
+    assert "fast_timing" not in {f.name
+                                 for f in dataclasses.fields(TuneRequest)}
+
+
 def test_flag_values_reach_the_config():
     args = build_parser().parse_args(
-        ["tune-all", "--timeout", "1.5", "--no-fast-timing", "--test",
+        ["tune-all", "--timeout", "1.5", "--verify-ir", "--test",
          "--trace-out", "F", "-j", "2", "--batch-size", "4"])
     config = _engine_config(args)
     assert config.timeout == 1.5 and isinstance(config.timeout, float)
-    assert (config.fast_timing, config.run_tester, config.trace,
-            config.jobs, config.batch_size) == (False, True, "F", 2, 4)
+    assert (config.verify_ir, config.run_tester, config.trace,
+            config.jobs, config.batch_size) == (True, True, "F", 2, 4)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -215,7 +228,7 @@ def _knob_names():
 
 def test_from_config_round_trips():
     config = TuneConfig(max_evals=7, run_tester=False, strategy="genetic",
-                        seed=3, fast_timing=False, observe=True,
+                        seed=3, observe=True,
                         verify_ir=True, min_gain=0.01,
                         enable_block_fetch=True, timeout=2.0,
                         jobs=2, batch_size=4)
@@ -242,7 +255,7 @@ def test_engine_knobs_are_the_fields_without_a_wire_namesake():
     from repro.service.schema import ENGINE_KNOBS
     assert set(ENGINE_KNOBS) == {
         f.name for f in dataclasses.fields(TuneConfig)} - set(_knob_names())
-    assert {"jobs", "cache_dir", "trace", "batch_size", "prefix_cache",
+    assert {"jobs", "cache_dir", "trace", "batch_size",
             "warm_start"} <= set(ENGINE_KNOBS)
 
 
@@ -260,11 +273,11 @@ def daemon():
 def test_serve_url_notes_ignored_engine_knobs(daemon, capsys):
     argv = ["tune", "ddot", "--n", "1000", "--max-evals", "2",
             "--serve-url", daemon.url]
-    assert main(argv + ["--batch-size", "8", "--no-prefix-cache"]) == 0
+    assert main(argv + ["--batch-size", "8", "--jobs", "2"]) == 0
     notes = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("# note:")]
     assert len(notes) == 1
-    assert "--batch-size" in notes[0] and "--no-prefix-cache" in notes[0]
+    assert "--batch-size" in notes[0] and "--jobs" in notes[0]
     assert main(argv) == 0
     assert "# note:" not in capsys.readouterr().out
 

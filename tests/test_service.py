@@ -112,15 +112,15 @@ class TestTuneRequestSchema:
 
     @pytest.mark.parametrize("payload, want", [
         ({"kernel": "ddot"},
-         "8bd26b72a6b226bcf7b504894811c46fdb2440391b8f0050daed8f6bcd88634b"),
+         "6487c982449f7ec9f776add3f41c113e88ab99833f233bc48bf91c544dec4ade"),
         ({"kernel": "dgemm", "machine": "opteron",
           "context": "in-l2-cache", "n": 128, "strategy": "genetic",
           "seed": 7, "budget": 33, "observe": True, "verify_ir": True,
-          "fast_timing": False, "min_gain": 0.01,
+          "min_gain": 0.01,
           "enable_block_fetch": True, "timeout": 2.5, "test": False},
-         "37cc8bfb99f1698e6192108aac7a74bebb6e20084b18da0e74e8b7d0494d9190"),
+         "a7f519c47feea9b76c55510248c50ffce6d55f43d16da1d74457c18177b56e38"),
         ({"kernel": "sasum", "max_evals": 12},
-         "dc98c760eecd700211898fc793892f2c949f0464dc0ea71058237835b667a2e5"),
+         "aeaeacf3376f88a462aa270699098a76a1e62701dd1abd506d5f087d1080af98"),
     ], ids=["defaults", "every-field", "max-evals-alias"])
     def test_golden_digests(self, monkeypatch, payload, want):
         """Request identity is load-bearing (dedup keys, stored

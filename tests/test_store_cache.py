@@ -103,3 +103,37 @@ class TestDiskCache:
         s2 = ResultStore(quick=True, cache_dir=str(tmp_path))
         r2 = s2.get(pentium4e(), Context.IN_L2, "isamax", "ATLAS")
         assert r2.starred and r2.display_kernel == "isamax*"
+
+
+class TestModifiedMachine:
+    """A config that keeps a registry name is its own machine: neither
+    the in-memory rows nor the disk rows may answer it with the
+    registry machine's result."""
+
+    @staticmethod
+    def _slow():
+        import dataclasses
+        p4e = pentium4e()
+        return dataclasses.replace(p4e, bus_bpc=p4e.bus_bpc / 4)
+
+    ARGS = (Context.OUT_OF_CACHE, "ddot", "FKO")
+
+    def test_memory_rows_keep_it_apart(self):
+        fresh = ResultStore(quick=True).get(self._slow(), *self.ARGS)
+        store = ResultStore(quick=True)
+        registry = store.get(pentium4e(), *self.ARGS)
+        assert store.get(self._slow(), *self.ARGS).cycles == fresh.cycles
+        assert fresh.cycles != registry.cycles
+
+    def test_disk_rows_keep_it_apart(self, tmp_path):
+        fresh = ResultStore(quick=True).get(self._slow(), *self.ARGS)
+        ResultStore(quick=True, cache_dir=str(tmp_path)).get(
+            pentium4e(), *self.ARGS)
+        again = ResultStore(quick=True, cache_dir=str(tmp_path))
+        assert again.get(self._slow(), *self.ARGS).cycles == fresh.cycles
+        assert len(list((tmp_path / "rows").glob("*/*.json"))) == 2
+
+    def test_serve_url_refuses_it(self):
+        store = ResultStore(quick=True, serve_url="http://127.0.0.1:9")
+        with pytest.raises(ValueError, match="registry machine"):
+            store.get(self._slow(), Context.OUT_OF_CACHE, "ddot", "ifko")

@@ -12,6 +12,7 @@ import hashlib
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 import repro
@@ -81,8 +82,60 @@ class TestEvalKeyGolden:
             prefetch={"X": PrefetchParams(PrefetchHint.NTA, 512),
                       "Y": PrefetchParams(PrefetchHint.T0, 1024)})
         k = eval_key("LOOP i = 0, N\n", "p4e", Context.OUT_OF_CACHE, 80000,
-                     p.key(), "1.1.0")
+                     p.key(), "1.2.0")
         assert k == golden["digest"]
+
+
+class TestOnePointOneKey:
+    """A tile move drawn by the GA's or the surrogate's neighbor step
+    used to store a ``numpy.str_`` extension name, whose ``repr``
+    changed both the eval key and the timer's noise seed: one point,
+    two cycle counts."""
+
+    def test_numpy_string_ext_name_is_normalized(self):
+        plain = TransformParams().with_ext("tile:k", 16)
+        for p in (TransformParams().with_ext(np.str_("tile:k"), 16),
+                  TransformParams(ext={np.str_("tile:k"): 16})):
+            assert repr(p.key()) == repr(plain.key())
+            assert all(type(k) is str for k in p.ext)
+
+    def test_same_tile_point_same_key_and_cycles(self, p4e):
+        from repro.search import evaluate_params
+        from repro.timing.timer import Timer
+        spec = get_kernel("dgemm")
+        fko = FKO(p4e)
+        timer = Timer(p4e, Context.OUT_OF_CACHE, 512)
+        defaults = fko.defaults(spec.hil)
+        seen = set()
+        for name in ("tile:k", np.str_("tile:k")):
+            p = defaults.with_ext(name, 16)
+            cycles, status, _ = evaluate_params(
+                fko, timer, spec.hil, p, spec.flops(512), "dgemm|")
+            key = eval_key(spec.hil, "p4e", Context.OUT_OF_CACHE, 512,
+                           p.key(), repro.__version__)
+            seen.add((cycles, key))
+        assert len(seen) == 1
+
+    def test_every_strategy_asks_plain_str_ext_names(self, monkeypatch):
+        import repro.search.engine as engine
+        asked = []
+        real = engine.evaluate_params
+
+        def spy(fko, timer, hil, params, *args, **kwargs):
+            asked.append(params)
+            return real(fko, timer, hil, params, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate_params", spy)
+        # exhaustive only sets the declared option lists' own values,
+        # and plans dgemm's whole grid whatever the budget (seconds)
+        for name in ("line", "random", "genetic", "surrogate"):
+            cfg = TuneConfig(strategy=name, max_evals=24, seed=0,
+                             run_tester=False)
+            with TuningSession(cfg) as s:
+                s.tune("dgemm", "p4e", Context.OUT_OF_CACHE, 64)
+        assert any(p.ext for p in asked)
+        for p in asked:
+            assert all(type(k) is str for k in p.ext), p.describe()
 
 
 # ---------------------------------------------------------------------------

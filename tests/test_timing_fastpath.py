@@ -104,22 +104,6 @@ def test_slow_path_reports_no_extrapolation(p4e):
     assert res.stats.steady_period == 0
 
 
-def test_timer_fast_flag_passthrough(p4e):
-    """Timer(fast=...) must reach the underlying LoopTimer."""
-    from repro.timing.timer import Timer
-    t_fast = Timer(p4e, Context.OUT_OF_CACHE, N_LARGE)
-    t_slow = Timer(p4e, Context.OUT_OF_CACHE, N_LARGE, fast=False)
-    assert t_fast._loop_timer.fast is True
-    assert t_slow._loop_timer.fast is False
-    spec = get_kernel("dasum")
-    k = FKO(p4e).compile(spec.hil, TransformParams(sv=True, unroll=4))
-    tf = t_fast.time(k, spec)
-    ts = t_slow.time(k, spec)
-    assert tf.cycles == ts.cycles
-    assert tf.raw.stats.lines_extrapolated > 0
-    assert ts.raw.stats.lines_extrapolated == 0
-
-
 # ---------------------------------------------------------------------------
 # randomized sweep: hypothesis drives TransformParams through corners the
 # hand-written grid misses (odd unrolls, mixed hints, wnt interplay)
