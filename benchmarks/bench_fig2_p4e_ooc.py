@@ -1,20 +1,15 @@
 """Figure 2 — relative speedups of all six tuning methodologies on the
 simulated P4E, out of cache (the paper's headline comparison)."""
 
-from conftest import save_result
-
 from repro.experiments.relative import relative_performance
 from repro.machine import Context, pentium4e
 
 
-def test_figure2(benchmark, store, results_dir):
+def test_figure2(benchmark, store):
     res = benchmark.pedantic(
         lambda: relative_performance(pentium4e(), Context.OUT_OF_CACHE,
                                      store),
         rounds=1, iterations=1)
-    text = res.render(f"Figure 2. Relative speedups, P4E, N={res.n}, "
-                      f"out-of-cache")
-    save_result(results_dir, "fig2.txt", text)
 
     # the paper's headline: ifko best on average, ATLAS second
     assert res.best_method_on_average() == "ifko"

@@ -1,19 +1,14 @@
 """Figure 3 — relative speedups on the simulated Opteron, out of cache,
 including the icc+prof blind-WNT collapse on swap/axpy."""
 
-from conftest import save_result
-
 from repro.experiments.relative import relative_performance
 from repro.machine import Context, opteron
 
 
-def test_figure3(benchmark, store, results_dir):
+def test_figure3(benchmark, store):
     res = benchmark.pedantic(
         lambda: relative_performance(opteron(), Context.OUT_OF_CACHE, store),
         rounds=1, iterations=1)
-    text = res.render(f"Figure 3. Relative speedups, Opteron, N={res.n}, "
-                      f"out-of-cache")
-    save_result(results_dir, "fig3.txt", text)
 
     # "icc+prof is many times slower than icc+ref" for swap and axpy
     for kernel in ("sswap", "dswap", "saxpy", "daxpy"):

@@ -1,16 +1,12 @@
 """Figure 5 — (a) absolute ifko MFLOPS per routine out of cache on both
 machines; (b) P4E in-L2 speedup over out-of-cache (bus-boundedness)."""
 
-from conftest import save_result
-
 from repro.experiments.fig5 import figure5
 from repro.kernels import KERNEL_ORDER
 
 
-def test_figure5(benchmark, store, results_dir):
+def test_figure5(benchmark, store):
     res = benchmark.pedantic(lambda: figure5(store), rounds=1, iterations=1)
-    text = res.render()
-    save_result(results_dir, "fig5.txt", text)
 
     vals = dict(zip(res.kernels, res.ooc_mflops["P4E"]))
     # "ASUM ... is always the fastest routine" (among the f32 kernels,

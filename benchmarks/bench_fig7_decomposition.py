@@ -6,15 +6,11 @@ total 1.38x.  The reproduction checks the *shape*: PF DST dominates,
 each term is a modest positive, total lands in the same regime.
 """
 
-from conftest import save_result
-
 from repro.experiments.fig7 import figure7
 
 
-def test_figure7(benchmark, store, results_dir):
+def test_figure7(benchmark, store):
     res = benchmark.pedantic(lambda: figure7(store), rounds=1, iterations=1)
-    text = res.render()
-    save_result(results_dir, "fig7.txt", text)
 
     avg = res.average_gains()
     # prefetch-distance tuning is the dominant contributor

@@ -7,29 +7,23 @@
   one: it runs 42 complete ifko searches (memoized in the shared store).
 """
 
-from conftest import save_result
-
 from repro.experiments import table1, table2
 from repro.experiments.table3 import table3
 
 
-def test_table1(benchmark, results_dir):
+def test_table1(benchmark):
     text = benchmark(table1.render)
-    save_result(results_dir, "table1.txt", text)
     assert "iamax" in text
 
 
-def test_table2(benchmark, results_dir):
+def test_table2(benchmark):
     text = benchmark(table2.render)
-    save_result(results_dir, "table2.txt", text)
     assert "P4E" in text and "Opteron" in text
 
 
-def test_table3(benchmark, store, results_dir):
+def test_table3(benchmark, store):
     result = benchmark.pedantic(lambda: table3(store),
                                 rounds=1, iterations=1)
-    text = result.render()
-    save_result(results_dir, "table3.txt", text)
     # every kernel row present, with the three config column groups
     assert len(result.rows) == 14
     assert len(result.headers) == 1 + 3 * 4

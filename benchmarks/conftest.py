@@ -1,17 +1,16 @@
 """Benchmark-suite fixtures.
 
-One memoized result store is shared by every figure/table benchmark, so
-the expensive tuning sweeps are computed once per pytest session (the
-first benchmark touching a configuration pays for it — exactly like an
-ATLAS install).  Rendered outputs are also written to ``results/``.
-
-Sizes: quick (N=20000 out-of-cache) by default; set ``REPRO_FULL=1``
-for the paper's N=80000.
+One memoized result store, at the paper's sizes, is shared by every
+figure/table benchmark, so the expensive tuning sweeps are computed
+once per pytest session (the first benchmark touching a configuration
+pays for it — exactly like an ATLAS install).  The figures and tables
+themselves are checked in once, as ``results/full_experiments.txt``
+(``python -m repro experiments``); the ablation benchmarks write their
+rendered outputs to ``results/``.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
@@ -23,7 +22,7 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 @pytest.fixture(scope="session")
 def store():
-    return ResultStore()   # honors REPRO_FULL
+    return ResultStore()
 
 
 @pytest.fixture(scope="session")

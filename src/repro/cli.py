@@ -784,7 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("which", nargs="*",
                     help="subset, e.g. fig2 table3 (default: all)")
     add_config_flags(pe, ("jobs",))
-    pe.set_defaults(jobs=None)   # unset: the store reads $REPRO_JOBS
     pe.add_argument("--cache-dir", default=None,
                     help="persist results + evaluation cache here")
     pe.set_defaults(func=cmd_experiments)

@@ -11,7 +11,7 @@
 Run everything: ``python -m repro.experiments``.
 """
 
-from .store import METHODS, MethodResult, ResultStore, global_store, paper_sizes
+from .store import METHODS, MethodResult, ResultStore, global_store
 from .relative import (RelativeResult, figure2, figure3, figure4,
                        relative_performance, render_figure)
 from .fig5 import Figure5, figure5
@@ -20,7 +20,6 @@ from .table3 import Table3, table3
 from . import table1, table2
 
 __all__ = ["METHODS", "MethodResult", "ResultStore", "global_store",
-           "paper_sizes", "RelativeResult", "figure2", "figure3",
-           "figure4", "relative_performance", "render_figure", "Figure5",
-           "figure5", "Figure7", "figure7", "Table3", "table3",
-           "table1", "table2"]
+           "RelativeResult", "figure2", "figure3", "figure4",
+           "relative_performance", "render_figure", "Figure5", "figure5",
+           "Figure7", "figure7", "Table3", "table3", "table1", "table2"]

@@ -1,22 +1,20 @@
 """Run every experiment harness and print the paper's tables/figures.
 
-Usage::
+Usage (the same flags as ``python -m repro experiments``)::
 
-    python -m repro.experiments            # quick sizes (N=20000 ooc)
-    REPRO_FULL=1 python -m repro.experiments   # paper sizes (N=80000)
+    python -m repro.experiments                # everything, paper sizes
     python -m repro.experiments fig2 table3    # a subset
     python -m repro.experiments --jobs 4 --cache-dir .repro-cache
 
 ``--jobs`` fans the tuning runs across worker processes and
 ``--cache-dir`` persists both the per-figure result rows (``rows/``)
 and the engine's per-evaluation cache (``evals/``), so a rerun reloads
-instead of re-tuning (``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` set the
-same defaults).
+instead of re-tuning.
 """
 
 from __future__ import annotations
 
-import argparse
+import sys
 import time
 
 from . import fig5, fig7, relative, table1, table2
@@ -59,15 +57,5 @@ def main(which=(), jobs=None, cache_dir=None) -> int:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments",
-        description="regenerate the paper's tables and figures")
-    parser.add_argument("which", nargs="*",
-                        help=f"subset of {', '.join(ALL)} (default: all)")
-    parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes for the tuning engine")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persist results + evaluation cache here")
-    args = parser.parse_args()
-    raise SystemExit(main(args.which, jobs=args.jobs,
-                          cache_dir=args.cache_dir))
+    from ..cli import main as cli_main
+    raise SystemExit(cli_main(["experiments", *sys.argv[1:]]))

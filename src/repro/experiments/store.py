@@ -5,43 +5,33 @@ need the ifko search results, Figure 5 needs ifko timings across both
 contexts — all for the same configurations.  The store computes each
 result once per process and memoizes it.
 
-All tuning runs through one :class:`repro.search.TuningSession`, so the
-figures share the engine's persistent evaluation cache, can fan out
-across worker processes (``jobs`` argument or ``REPRO_JOBS``), can be
-traced (``trace`` argument), and can swap the global-search strategy
-(``strategy``/``seed`` arguments or ``REPRO_STRATEGY``/``REPRO_SEED``)
-to regenerate the figures under an alternative searcher.
+The store's three arguments are the whole declaration of how the suite
+runs; it reads no environment.  Problem sizes are the paper's
+(:func:`repro.timing.timer.paper_n`: N=80000 out of cache, N=1024
+in-L2).  ``quick=True`` shrinks the out-of-cache N to 20000, which only
+the benchmark's smoke run uses.  All tuning runs through one
+:class:`repro.search.TuningSession` with the line search, so the
+figures share the engine's evaluation cache and fan out across
+``jobs`` worker processes.
 
-Problem sizes default to the paper's (N=80000 out of cache, N=1024
-in-L2).  ``quick=True`` shrinks the out-of-cache N (same physics, fewer
-simulated lines) so the full suite runs fast under pytest; the
-benchmark harness uses the paper sizes.
-
-Setting ``REPRO_CACHE_DIR`` (or passing ``cache_dir``) additionally
-persists results to disk as JSON, the way an ATLAS install records its
-search results: a second run of the experiment suite reloads instead of
-re-tuning.  Rows are :class:`repro.records.RecordStore` records under
-``rows/``, each keyed by the :func:`~repro.records.canonical_digest` of
-(package version, machine identity, context, N, kernel, method,
-strategy, seed), so a row is never reused across code changes, for
-another search or for a modified machine config.  A damaged row is a miss
-and is recomputed; a row the disk refuses leaves the cache cold.
-Since ``SearchResult`` round-trips through JSON, ifko rows reload
-complete with their search detail; the engine's per-evaluation cache
-lives in an ``evals/`` subdirectory of the same tree.
-
-Setting ``REPRO_SERVE_URL`` (or passing ``serve_url``) routes the ifko
-rows through a running ``repro serve`` daemon instead of the in-process
-session: many experiment processes then share one engine, one
-evaluation cache and the daemon's persistent result store — with
-bit-identical answers, since the engine is deterministic.
+``cache_dir`` additionally persists results to disk as JSON, the way
+an ATLAS install records its search results: a second run of the
+experiment suite reloads instead of re-tuning.  Rows are
+:class:`repro.records.RecordStore` records under ``rows/``, each keyed
+by the :func:`~repro.records.canonical_digest` of (package version,
+machine identity, context, N, kernel, method, strategy, seed), so a row
+is never reused across code changes or for a modified machine config.
+A damaged row is a miss and is recomputed; a row the disk refuses
+leaves the cache cold.  Since ``SearchResult`` round-trips through
+JSON, ifko rows reload complete with their search detail; the engine's
+per-evaluation cache lives in an ``evals/`` subdirectory of the same
+tree.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import __version__
@@ -51,7 +41,8 @@ from ..machine import Context, machine_ident
 from ..machine.config import MachineConfig
 from ..records import RecordStore, canonical_digest
 from ..refcomp import ALL_COMPILERS
-from ..search import SearchResult, TuneConfig, TunedKernel, TuningSession
+from ..search import SearchResult, TuneConfig, TuningSession
+from ..timing.timer import paper_n
 
 #: column order of the paper's figures
 METHODS = ("gcc+ref", "icc+ref", "icc+prof", "ATLAS", "FKO", "ifko")
@@ -72,49 +63,24 @@ class MethodResult:
         return self.kernel + ("*" if self.starred else "")
 
 
-def paper_sizes(quick: bool = False) -> Dict[Context, int]:
-    ooc = 20000 if quick else 80000
-    return {Context.OUT_OF_CACHE: ooc, Context.IN_L2: 1024}
-
-
 class ResultStore:
     """Memoized (machine, context, kernel, method) -> MethodResult."""
 
-    def __init__(self, quick: Optional[bool] = None,
-                 cache_dir: Optional[str] = None,
-                 jobs: Optional[int] = None,
-                 trace: Optional[str] = None,
-                 strategy: Optional[str] = None,
-                 seed: Optional[int] = None,
-                 serve_url: Optional[str] = None):
-        if quick is None:
-            quick = os.environ.get("REPRO_FULL", "") == ""
+    def __init__(self, quick: bool = False, cache_dir: Optional[str] = None,
+                 jobs: int = 1):
         self.quick = quick
-        self.sizes = paper_sizes(quick)
+        self.sizes = {ctx: paper_n(ctx) for ctx in Context}
+        if quick:
+            self.sizes[Context.OUT_OF_CACHE] = 20000
         self._cache: Dict[Tuple[str, Context, str, str], MethodResult] = {}
-        if cache_dir is None:
-            cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir else None
         self.rows = (RecordStore(self.cache_dir / "rows")
                      if self.cache_dir is not None else None)
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_JOBS", "1") or 1)
         self.jobs = jobs
-        if strategy is None:
-            strategy = os.environ.get("REPRO_STRATEGY", "") or "line"
-        self.strategy = strategy
-        if seed is None:
-            seed = int(os.environ.get("REPRO_SEED", "0") or 0)
-        self.seed = seed
-        if serve_url is None:
-            serve_url = os.environ.get("REPRO_SERVE_URL") or None
-        self.serve_url = serve_url
-        self._serve_client = None
         eval_cache = (str(self.cache_dir / "evals")
                       if self.cache_dir is not None else None)
         self.session = TuningSession(TuneConfig(
-            jobs=jobs, cache_dir=eval_cache, trace=trace, run_tester=False,
-            strategy=strategy, seed=seed))
+            jobs=jobs, cache_dir=eval_cache, run_tester=False))
 
     # ------------------------------------------------------------------
     # optional JSON persistence (search results round-trip through
@@ -122,9 +88,10 @@ class ResultStore:
     def _row_key(self, key) -> str:
         """The digest of everything that produced the row."""
         ident, ctx, kernel, method = key
+        config = self.session.config
         return canonical_digest([__version__, ident, ctx.value,
                                  self.n_for(ctx), kernel, method,
-                                 self.strategy, self.seed])
+                                 config.strategy, config.seed])
 
     def _load_disk(self, key) -> Optional[MethodResult]:
         if self.rows is None:
@@ -209,47 +176,23 @@ class ResultStore:
             return MethodResult(method, kernel, tk.mflops, tk.timing.cycles,
                                 label=tk.params.describe())
         if method == "ifko":
-            tk = self._tune_ifko(spec, machine, context, n)
+            tk = self.session.tune(spec, machine, context, n)
             return MethodResult(method, kernel, tk.mflops, tk.timing.cycles,
                                 label=tk.params.describe(), search=tk.search)
         raise KeyError(f"unknown method {method!r}")
-
-    def _tune_ifko(self, spec, machine: MachineConfig, context: Context,
-                   n: int) -> TunedKernel:
-        """The ifko rows optionally route through a running ``repro
-        serve`` daemon (``serve_url`` argument or ``REPRO_SERVE_URL``):
-        many experiment processes then share one engine, one evaluation
-        cache and the daemon's result store.  FKO is deterministic, so
-        the winner recompiled from the daemon's response is
-        bit-identical to an in-process tune."""
-        if self.serve_url:
-            if ":" in machine_ident(machine):
-                raise ValueError(
-                    f"the serve wire names machines by registry name, but "
-                    f"this {machine.name!r} config differs from the "
-                    f"registry machine; tune it without serve_url")
-            if self._serve_client is None:
-                from ..client import ServeClient
-                self._serve_client = ServeClient(self.serve_url)
-            from ..service import TuneRequest
-            request = TuneRequest.from_config(spec.name, machine, context, n,
-                                              self.session.config)
-            return self._serve_client.tune(request).tuned()
-        return self.session.tune(spec, machine, context, n)
 
 
 #: one store shared by all harnesses in a process
 _GLOBAL: Optional[ResultStore] = None
 
 
-def global_store(quick: Optional[bool] = None,
-                 jobs: Optional[int] = None,
+def global_store(jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None) -> ResultStore:
     global _GLOBAL
     if (_GLOBAL is None
-            or (quick is not None and _GLOBAL.quick != quick)
             or (jobs is not None and _GLOBAL.jobs != jobs)
             or (cache_dir is not None
                 and _GLOBAL.cache_dir != pathlib.Path(cache_dir))):
-        _GLOBAL = ResultStore(quick, cache_dir=cache_dir, jobs=jobs)
+        _GLOBAL = ResultStore(cache_dir=cache_dir,
+                              jobs=1 if jobs is None else jobs)
     return _GLOBAL

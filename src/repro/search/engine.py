@@ -182,8 +182,8 @@ class _Tools:
     builds of an experiment store.  One FKO per machine: its compile
     caches are context-independent, so an (OOC, in-L2) sweep shares
     compiles; one Timer (and its walk memos) per (machine, context, n).
-    A machine is identified by its whole config, not its name, so a
-    modified registry machine never borrows the registry machine's
+    A machine is identified by :func:`machine_ident`, not its name, so
+    a modified registry machine never borrows the registry machine's
     caches.  Bounded, because a long tune-all batch walks many
     (machine, context, N) combinations through the same process."""
 
@@ -193,7 +193,7 @@ class _Tools:
 
     def get(self, machine: MachineConfig, context: Context,
             n: int) -> Tuple[FKO, Timer]:
-        ident = repr(machine)
+        ident = machine_ident(machine)
         tkey = (ident, context.value, int(n))
         fko = self._fkos.get(ident)
         if fko is None:

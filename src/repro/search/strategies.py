@@ -564,6 +564,10 @@ class ExhaustiveSearch(Searcher):
             for dim, value in zip(grid_dims, combo):
                 point = dim_set(point, dim.name, value)
             for hint, dist in pf_options:
+                # past the budget every candidate is a memo hit already
+                # noted or charged inf: the rest of the sweep is inert
+                if self.n_evaluations >= self.max_evals:
+                    return
                 p = point.copy()
                 for arr in sp.prefetch_arrays:
                     p.prefetch[arr] = PrefetchParams(hint, dist)

@@ -117,12 +117,10 @@ class TestMemoizedEqualsCold:
     ``Timer.base`` under the share key against a fresh timer's
     unshared walk."""
 
-    # exhaustive plans its whole grid whatever the budget, which for
-    # dgemm's tile dimensions costs seconds, so it runs on daxpy only
     @pytest.mark.parametrize("strategy, kernel, machine, n", [
-        *((s, "daxpy", "opteron", 80000) for s in STRATEGIES),
-        ("exhaustive", "daxpy", "opteron", 80000),
-        *((s, "dgemm", "p4e", 64) for s in STRATEGIES)])
+        *((s, "daxpy", "opteron", 80000)
+          for s in STRATEGIES + ("exhaustive",)),
+        *((s, "dgemm", "p4e", 64) for s in STRATEGIES + ("exhaustive",))])
     def test_every_asked_candidate(self, monkeypatch, strategy, kernel,
                                    machine, n):
         seen = _asked_candidates(monkeypatch, strategy, kernel, machine, n)

@@ -1,10 +1,10 @@
 """Calibration: the paper's qualitative results must hold on the shipped
 machine models (DESIGN.md section 4 "shape targets").
 
-These run the real experiment pipeline at reduced out-of-cache N, via
-the shared result store, so the whole file costs one sweep.  Any change
-to the machine model or the compiler that breaks a paper-level claim
-fails here.
+These run the real experiment pipeline at the paper's sizes (N=80000
+out of cache, N=1024 in-L2), via one result store, so the whole file
+costs one sweep.  Any change to the machine model or the compiler that
+breaks a paper-level claim fails here.
 """
 
 import math
@@ -20,7 +20,7 @@ from repro.machine import Context, opteron, pentium4e
 
 @pytest.fixture(scope="module")
 def store():
-    return ResultStore(quick=True)
+    return ResultStore()
 
 
 @pytest.fixture(scope="module")

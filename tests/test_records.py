@@ -90,13 +90,11 @@ class RowsView:
     ROW = MethodResult("gcc+ref", "sscal", 1234.5, 678.0, label="-O2")
 
     def write(self, root):
-        ResultStore(quick=True, cache_dir=str(root))._save_disk(
-            self.KEY, self.ROW)
+        ResultStore(cache_dir=str(root))._save_disk(self.KEY, self.ROW)
         return self.ROW
 
     def read(self, root):
-        return ResultStore(quick=True, cache_dir=str(root))._load_disk(
-            self.KEY)
+        return ResultStore(cache_dir=str(root))._load_disk(self.KEY)
 
 
 class WarmView:
@@ -320,7 +318,7 @@ def test_every_store_keys_through_the_helper(monkeypatch):
     assert eval_key("hil", "p4e", Context.OUT_OF_CACHE, N, ("k",),
                     version) == "key-1"
     assert _request().digest() == "key-2"
-    assert ResultStore(quick=True)._row_key(RowsView.KEY) == "key-3"
+    assert ResultStore()._row_key(RowsView.KEY) == "key-3"
     assert specs == [
         {"hil": "hil", "machine": "p4e", "context": "out-of-cache",
          "n": N, "params": ("k",), "v": version},

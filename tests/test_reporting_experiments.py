@@ -3,8 +3,9 @@
 import pytest
 
 from repro.experiments import table1, table2
-from repro.experiments.store import METHODS, ResultStore, paper_sizes
+from repro.experiments.store import METHODS, ResultStore
 from repro.machine import Context, pentium4e
+from repro.timing.timer import paper_n
 from repro.reporting import bar_chart, format_table, percent_of_best
 
 
@@ -51,32 +52,49 @@ class TestStaticHarnesses:
 
 class TestStore:
     def test_paper_sizes(self):
-        full = paper_sizes(quick=False)
-        quick = paper_sizes(quick=True)
-        assert full[Context.OUT_OF_CACHE] == 80000
-        assert full[Context.IN_L2] == 1024
-        assert quick[Context.OUT_OF_CACHE] < full[Context.OUT_OF_CACHE]
+        assert ResultStore().sizes == {ctx: paper_n(ctx) for ctx in Context}
+        quick = ResultStore(quick=True).sizes
+        assert quick[Context.OUT_OF_CACHE] < paper_n(Context.OUT_OF_CACHE)
+        assert quick[Context.IN_L2] == paper_n(Context.IN_L2)
+
+    def test_environment_sets_nothing(self, monkeypatch, tmp_path):
+        """The three arguments are the whole spec of a store: no
+        environment variable resizes it, fans it out, persists it,
+        swaps its searcher or routes it through a daemon."""
+        for knob, value in (("FULL", ""), ("JOBS", "4"),
+                            ("CACHE_DIR", str(tmp_path)),
+                            ("STRATEGY", "random"), ("SEED", "3"),
+                            ("SERVE_URL", "http://127.0.0.1:9")):
+            monkeypatch.setenv("REPRO_" + knob, value)
+        store = ResultStore()
+        assert store.sizes == {ctx: paper_n(ctx) for ctx in Context}
+        assert store.jobs == 1 and store.session.config.jobs == 1
+        assert store.cache_dir is None and store.rows is None
+        assert store.session.config.cache_dir is None
+        assert store.session.config.strategy == "line"
+        assert store.session.config.seed == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_memoization(self):
-        store = ResultStore(quick=True)
+        store = ResultStore()
         m = pentium4e()
         a = store.get(m, Context.IN_L2, "ddot", "FKO")
         b = store.get(m, Context.IN_L2, "ddot", "FKO")
         assert a is b
 
     def test_row_covers_all_methods(self):
-        store = ResultStore(quick=True)
+        store = ResultStore()
         row = store.row(pentium4e(), Context.IN_L2, "sscal")
         assert set(row) == set(METHODS)
         assert all(r.mflops > 0 for r in row.values())
 
     def test_unknown_method_rejected(self):
-        store = ResultStore(quick=True)
+        store = ResultStore()
         with pytest.raises(KeyError):
             store.get(pentium4e(), Context.IN_L2, "ddot", "clang")
 
     def test_atlas_result_carries_star(self):
-        store = ResultStore(quick=True)
+        store = ResultStore()
         res = store.get(pentium4e(), Context.IN_L2, "isamax", "ATLAS")
         assert res.display_kernel == "isamax*"
 
@@ -84,7 +102,7 @@ class TestStore:
 class TestRelativeRender:
     def test_render_contains_table_and_chart(self):
         from repro.experiments.relative import relative_performance
-        store = ResultStore(quick=True)
+        store = ResultStore()
         res = relative_performance(pentium4e(), Context.IN_L2, store,
                                    kernels=["sscal", "isamax"])
         text = res.render("Test figure")
@@ -94,7 +112,7 @@ class TestRelativeRender:
 
     def test_percent_of_best_is_100_somewhere(self):
         from repro.experiments.relative import relative_performance
-        store = ResultStore(quick=True)
+        store = ResultStore()
         res = relative_performance(pentium4e(), Context.IN_L2, store,
                                    kernels=["ddot"])
         best = max(res.percent[m][0] for m in METHODS)

@@ -12,17 +12,17 @@ from repro.machine import Context, pentium4e
 
 class TestDiskCache:
     def test_writes_and_reloads(self, tmp_path):
-        s1 = ResultStore(quick=True, cache_dir=str(tmp_path))
+        s1 = ResultStore(cache_dir=str(tmp_path))
         r1 = s1.get(pentium4e(), Context.IN_L2, "sscal", "FKO")
         files = list((tmp_path / "rows").glob("*/*.json"))
         assert len(files) == 1
-        s2 = ResultStore(quick=True, cache_dir=str(tmp_path))
+        s2 = ResultStore(cache_dir=str(tmp_path))
         r2 = s2.get(pentium4e(), Context.IN_L2, "sscal", "FKO")
         assert r2.mflops == r1.mflops
         assert r2.cycles == r1.cycles
 
-    def test_version_size_and_search_change_the_record(self, tmp_path,
-                                                       monkeypatch):
+    def test_version_and_size_change_the_record(self, tmp_path,
+                                                monkeypatch):
         def records():
             return set((tmp_path / "rows").glob("*/*.json"))
 
@@ -30,31 +30,25 @@ class TestDiskCache:
             store.get(pentium4e(), Context.IN_L2, "sscal", "gcc+ref")
             return records()
 
-        seen = row(ResultStore(quick=True, cache_dir=str(tmp_path)))
+        seen = row(ResultStore(cache_dir=str(tmp_path)))
         assert len(seen) == 1
         # the same spec again: the same record
-        assert row(ResultStore(quick=True, cache_dir=str(tmp_path))) == seen
-        # another N, another searcher, another code version: a new
-        # record each, never an alias of the first
-        other_n = ResultStore(quick=True, cache_dir=str(tmp_path))
+        assert row(ResultStore(cache_dir=str(tmp_path))) == seen
+        # another N, another code version: a new record each, never an
+        # alias of the first
+        other_n = ResultStore(cache_dir=str(tmp_path))
         other_n.sizes[Context.IN_L2] = 2048
-        for store in (other_n,
-                      ResultStore(quick=True, cache_dir=str(tmp_path),
-                                  strategy="random", seed=3)):
-            now = row(store)
-            assert len(now) == len(seen) + 1
-            seen = now
+        assert len(row(other_n)) == 2
         monkeypatch.setattr(store_mod, "__version__", "0.0.0-other")
-        assert len(row(ResultStore(quick=True,
-                                   cache_dir=str(tmp_path)))) == 4
+        assert len(row(ResultStore(cache_dir=str(tmp_path)))) == 3
 
     def test_ifko_not_reloaded_from_disk(self, tmp_path):
         """ifko results carry SearchResult detail that the JSON summary
         cannot represent, so they are recomputed per process."""
-        s1 = ResultStore(quick=True, cache_dir=str(tmp_path))
+        s1 = ResultStore(cache_dir=str(tmp_path))
         r1 = s1.get(pentium4e(), Context.IN_L2, "sscal", "ifko")
         assert r1.search is not None
-        s2 = ResultStore(quick=True, cache_dir=str(tmp_path))
+        s2 = ResultStore(cache_dir=str(tmp_path))
         r2 = s2.get(pentium4e(), Context.IN_L2, "sscal", "ifko")
         assert r2.search is not None   # recomputed, not a summary
 
@@ -63,10 +57,10 @@ class TestDiskCache:
         # a record that parses as JSON but has the wrong shape used to
         # raise out of get() (KeyError / AttributeError)
         args = (pentium4e(), Context.IN_L2, "sscal", "gcc+ref")
-        good = ResultStore(quick=True, cache_dir=str(tmp_path)).get(*args)
+        good = ResultStore(cache_dir=str(tmp_path)).get(*args)
         (row,) = tmp_path.rglob("*.json")
         row.write_text(bad)
-        again = ResultStore(quick=True, cache_dir=str(tmp_path)).get(*args)
+        again = ResultStore(cache_dir=str(tmp_path)).get(*args)
         assert again == good
         assert json.loads(row.read_text())["cycles"] == good.cycles
 
@@ -81,26 +75,25 @@ class TestDiskCache:
 
         monkeypatch.setattr(os, "replace", refuse)
         args = (pentium4e(), Context.IN_L2, "sscal", "gcc+ref")
-        r = ResultStore(quick=True, cache_dir=str(tmp_path)).get(*args)
+        r = ResultStore(cache_dir=str(tmp_path)).get(*args)
         assert r.mflops > 0
         assert list(tmp_path.rglob("*.json")) == []
         assert list(tmp_path.rglob(".tmp-*")) == []
         monkeypatch.undo()
-        assert ResultStore(quick=True,
-                           cache_dir=str(tmp_path)).get(*args) == r
+        assert ResultStore(cache_dir=str(tmp_path)).get(*args) == r
         assert len(list(tmp_path.rglob("*.json"))) == 1
 
     def test_no_cache_dir_means_memory_only(self):
-        s = ResultStore(quick=True, cache_dir=None)
+        s = ResultStore(cache_dir=None)
         assert s.cache_dir is None
         r = s.get(pentium4e(), Context.IN_L2, "sscal", "FKO")
         assert r.mflops > 0
 
     def test_starred_flag_round_trips(self, tmp_path):
-        s1 = ResultStore(quick=True, cache_dir=str(tmp_path))
+        s1 = ResultStore(cache_dir=str(tmp_path))
         r1 = s1.get(pentium4e(), Context.IN_L2, "isamax", "ATLAS")
         assert r1.starred
-        s2 = ResultStore(quick=True, cache_dir=str(tmp_path))
+        s2 = ResultStore(cache_dir=str(tmp_path))
         r2 = s2.get(pentium4e(), Context.IN_L2, "isamax", "ATLAS")
         assert r2.starred and r2.display_kernel == "isamax*"
 
@@ -119,21 +112,16 @@ class TestModifiedMachine:
     ARGS = (Context.OUT_OF_CACHE, "ddot", "FKO")
 
     def test_memory_rows_keep_it_apart(self):
-        fresh = ResultStore(quick=True).get(self._slow(), *self.ARGS)
-        store = ResultStore(quick=True)
+        fresh = ResultStore().get(self._slow(), *self.ARGS)
+        store = ResultStore()
         registry = store.get(pentium4e(), *self.ARGS)
         assert store.get(self._slow(), *self.ARGS).cycles == fresh.cycles
         assert fresh.cycles != registry.cycles
 
     def test_disk_rows_keep_it_apart(self, tmp_path):
-        fresh = ResultStore(quick=True).get(self._slow(), *self.ARGS)
-        ResultStore(quick=True, cache_dir=str(tmp_path)).get(
+        fresh = ResultStore().get(self._slow(), *self.ARGS)
+        ResultStore(cache_dir=str(tmp_path)).get(
             pentium4e(), *self.ARGS)
-        again = ResultStore(quick=True, cache_dir=str(tmp_path))
+        again = ResultStore(cache_dir=str(tmp_path))
         assert again.get(self._slow(), *self.ARGS).cycles == fresh.cycles
         assert len(list((tmp_path / "rows").glob("*/*.json"))) == 2
-
-    def test_serve_url_refuses_it(self):
-        store = ResultStore(quick=True, serve_url="http://127.0.0.1:9")
-        with pytest.raises(ValueError, match="registry machine"):
-            store.get(self._slow(), Context.OUT_OF_CACHE, "ddot", "ifko")

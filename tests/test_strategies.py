@@ -264,6 +264,31 @@ class TestAskTellProtocol:
         assert res.n_evaluations <= 3
         assert len(seen) <= 3
 
+    def test_exhaustive_stops_planning_at_its_budget(self, monkeypatch):
+        """Past the budget the sweep can only replay noted memo hits or
+        charge inf, so it ends there: the same history as planning the
+        whole dgemm grid (digest recorded from the full sweep), with at
+        most one batch ingested past the budget."""
+        from repro.service import history_digest
+        past = []
+        ingest = Searcher._ingest
+
+        def counting(self, raw):
+            if self.n_evaluations >= self.max_evals:
+                past.append(len(raw))
+            return ingest(self, raw)
+        monkeypatch.setattr(Searcher, "_ingest", counting)
+        cfg = TuneConfig(run_tester=False, strategy="exhaustive",
+                         max_evals=24)
+        with TuningSession(cfg) as s:
+            tk = s.tune("dgemm", "p4e", Context.OUT_OF_CACHE, 64)
+        assert history_digest(tk.search) == ("f308e8a5f18ebcf26094a7e3b5cc7e"
+                                             "13e69ac548433b29fc59f755232466b46e")
+        assert tk.params.describe() == \
+            "SV=Y WNT=N UR=8 AE=0 B=nta:256 C=nta:256"
+        assert tk.search.n_evaluations == 24
+        assert len(past) <= 1
+
 
 # ---------------------------------------------------------------------------
 # determinism: same seed => identical results, serial == parallel
