@@ -181,11 +181,9 @@ def _flags(f: dataclasses.Field) -> Tuple[str, ...]:
 
 
 def _flag_type(f: dataclasses.Field):
-    """A flag's value type: its default's, else X of ``Optional[X]``."""
-    if f.default is not None:
-        return type(f.default)
-    inner = f.type.removeprefix("Optional[").removesuffix("]")
-    return {"int": int, "float": float}.get(inner, str)
+    """A flag's value type: its default's, else ``str`` (every
+    ``Optional`` flag field is a path)."""
+    return type(f.default) if f.default is not None else str
 
 
 def add_config_flags(p, names) -> None:
@@ -352,7 +350,7 @@ def cmd_tune_all(args) -> int:
           f"in {batch.wall:.1f}s with jobs={args.jobs}")
     s = session.stats
     print(f"# evaluations: {s.evaluations} computed, {s.cache_hits} "
-          f"cache hits, {s.timeouts} timeouts, {s.faults} faults")
+          f"cache hits, {s.faults} faults")
     print(f"# throughput: {s.throughput(batch.wall):.1f} evals/s, "
           f"cache hit rate {s.cache_hit_rate:.1%}, "
           f"fast-path {s.fast_path}/slow-path {s.slow_path}")

@@ -134,13 +134,7 @@ class LocalClient(TuneClient):
 
     def wait(self, job_id, timeout=None) -> TuneResponse:
         # no dispatcher: drain anything queued before blocking
-        if (self.manager._dispatcher is None
-                or not self.manager._dispatcher.is_alive()):
-            while True:
-                head = self.manager.queue.pop()
-                if head is None:
-                    break
-                self.manager._execute(head)
+        self.manager.drain()
         return self.manager.wait(job_id, timeout=timeout)
 
     def job(self, job_id) -> Dict:
@@ -150,16 +144,7 @@ class LocalClient(TuneClient):
         return job.snapshot()
 
     def events(self, job_id, start=0, follow=False) -> Iterator[Dict]:
-        idx = start
-        while True:
-            events, finished = self.manager.events_since(
-                job_id, idx, wait=follow, timeout=0.25)
-            yield from events
-            idx += len(events)
-            if not follow or (finished and not events):
-                tail, _ = self.manager.events_since(job_id, idx)
-                yield from tail
-                return
+        return self.manager.events(job_id, start, follow)
 
     def stats(self) -> Dict:
         return self.manager.stats_dict()

@@ -24,7 +24,6 @@ from .drivers import TunedKernel, compile_default, tune_kernel
 from .engine import (BatchResult, EngineStats, TuningJob, TuningSession,
                      evaluate_params, registry_jobs)
 from .evalcache import EvalCache, eval_key
-from .scheduler import BudgetLedger, FairQueue, InflightTable, Scheduler
 from .trace import (TRACE_VERSION, TraceEvents, TraceStream,
                     TraceWriter, read_trace, render_trace_summary,
                     summarize_trace)
@@ -40,7 +39,6 @@ __all__ = ["DEFAULT_AES", "DEFAULT_DIST_LINES", "DEFAULT_UNROLLS",
            "TunedKernel", "compile_default", "tune_kernel",
            "BatchResult", "EngineStats", "TuningJob", "TuningSession",
            "evaluate_params", "registry_jobs", "EvalCache", "eval_key",
-           "BudgetLedger", "FairQueue", "InflightTable", "Scheduler",
            "TRACE_VERSION", "TraceEvents", "TraceWriter",
            "read_trace", "render_trace_summary", "TraceStream",
            "summarize_trace"]

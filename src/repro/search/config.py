@@ -54,8 +54,6 @@ class TuneConfig:
     trace: Optional[str] = _knob(
         None, "append a JSONL search trace (one event per evaluation, "
               "phase move and cache hit) to this file")
-    timeout: Optional[float] = _knob(
-        None, "wall-clock seconds allowed per evaluation")
     resume: Optional[str] = _knob(
         None, "checkpoint completed jobs to this file and skip them "
               "when re-run")
@@ -100,9 +98,6 @@ class TuneConfig:
                              f"got {self.max_evals}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, "
-                             f"got {self.timeout}")
         # a negative min_gain would make every candidate "win" (each
         # move only needs to beat best * (1 - min_gain) > best), so the
         # search would thrash between equivalent points

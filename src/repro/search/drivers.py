@@ -12,8 +12,8 @@ the tester to ensure that the answer is correct."
 :func:`compile_default` is plain "FKO": static defaults, no search.
 
 Both are thin fronts over :class:`repro.search.engine.TuningSession`;
-how a search runs (budget, strategy, parallelism, caching, tracing,
-timeouts) is configured through ``config=TuneConfig(...)`` — the only
+how a search runs (budget, strategy, parallelism, caching, tracing)
+is configured through ``config=TuneConfig(...)`` — the only
 spelling: the pre-engine keyword shim (``max_evals``/``space``/
 ``run_tester``/``start`` as direct keywords) finished its deprecation
 window and was removed.
@@ -98,9 +98,9 @@ def tune_kernel(spec: KernelSpec, machine: MachineConfig, context: Context,
     """ifko: iterative compilation of one kernel for one machine/context.
 
     ``config`` carries the how (budget, space, start point, tester,
-    ``jobs``, ``cache_dir``, ``trace``, ``timeout``, ``strategy``,
-    ``seed``); a one-shot session is created around it.  For many
-    kernels, or to share one pool and cache, hold a
+    ``jobs``, ``cache_dir``, ``trace``, ``strategy``, ``seed``); a
+    one-shot session is created around it.  For many kernels, or to
+    share one pool and cache, hold a
     :class:`~repro.search.engine.TuningSession` instead.
     """
     config = config or TuneConfig()

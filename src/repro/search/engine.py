@@ -23,29 +23,26 @@ run needs:
 
 * a persistent content-addressed **evaluation cache**
   (:mod:`repro.search.evalcache`) shared across runs and processes;
-* per-evaluation **timeouts**; :class:`~repro.errors.SimulationFault`
-  is recorded immediately (the simulated machine is deterministic, so
-  identical inputs fault identically — nothing to retry, neither an
-  evaluation nor a whole job);
+* :class:`~repro.errors.SimulationFault` recorded immediately (the
+  simulated machine is deterministic, so identical inputs fault
+  identically — nothing to retry, neither an evaluation nor a whole
+  job); every evaluation ends in cycles or a fault, because each one
+  is bounded by the simulator itself, never by a wall clock;
 * **checkpoint/resume** of partially completed batches to a JSON state
   file;
 * a JSON-lines **trace** (:mod:`repro.search.trace`) of every
   evaluation, cache hit and phase move;
 * graceful **fallback to serial** when ``jobs=1`` or the pool dies.
 
-Worker-pool lifecycle (and the fair-queue / in-flight-dedup / budget
-primitives the service daemon builds on) live one layer down in
-:mod:`repro.search.scheduler`; how requests arrive and results leave is
-the transport layer's business — this session for in-process callers,
-:mod:`repro.service` for HTTP clients.
+The session owns its worker pool; how requests arrive and results leave
+is the transport layer's business — this session for in-process
+callers, :mod:`repro.service` for HTTP clients.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import signal
-import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -69,56 +66,23 @@ from ..util import LRUCache
 from .config import TuneConfig
 from .drivers import TunedKernel
 from .evalcache import EvalCache, eval_key
-from .scheduler import Scheduler
 from .space import build_space
 from .strategies import Searcher, TransferSearch, make_searcher
 from .trace import TraceWriter
 
 
 # ---------------------------------------------------------------------------
-# one evaluation: compile + time, with timeout
-
-class EvalTimeout(ReproError):
-    """An evaluation exceeded the configured per-evaluation timeout."""
-
-
-class _alarm:
-    """SIGALRM-based wall-clock guard around one evaluation.  A no-op
-    when no timeout is set, off the main thread, or on platforms
-    without SIGALRM (evaluations then simply run to completion)."""
-
-    def __init__(self, seconds: Optional[float]):
-        self.seconds = seconds
-        self.active = (seconds is not None and hasattr(signal, "SIGALRM")
-                       and threading.current_thread()
-                       is threading.main_thread())
-        self._prev = None
-
-    def __enter__(self):
-        if self.active:
-            def _raise(signum, frame):
-                raise EvalTimeout(f"evaluation exceeded {self.seconds}s")
-            self._prev = signal.signal(signal.SIGALRM, _raise)
-            signal.setitimer(signal.ITIMER_REAL, self.seconds)
-        return self
-
-    def __exit__(self, *exc):
-        if self.active:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, self._prev)
-        return False
-
+# one evaluation: compile + time
 
 def evaluate_params(fko: FKO, timer: Timer, hil: str,
                     params: TransformParams, flops: float,
                     ident_prefix: str,
-                    timeout: Optional[float] = None,
                     observe: bool = False,
                     verify_ir: bool = False) -> Tuple[float, str, Dict]:
     """One compile+time.  Returns ``(cycles, status, meta)`` where
-    status is ``ok`` | ``timeout`` | ``fault: ...``; failures come back
-    as ``inf`` cycles (the sweep just never picks them) instead of
-    killing a batch that has hours of work behind it.  ``meta`` reports
+    status is ``ok`` | ``fault: ...``; failures come back as ``inf``
+    cycles (the sweep just never picks them) instead of killing a batch
+    that has hours of work behind it.  ``meta`` reports
     whether the timing model's steady-state fast path fired.
 
     ``observe=True`` additionally collects pass-level compile telemetry
@@ -140,29 +104,25 @@ def evaluate_params(fko: FKO, timer: Timer, hil: str,
     of compiling and timing a doomed candidate twice."""
     col = Collector() if observe else None
     try:
-        with _alarm(timeout):
-            if col is not None:
-                with _obs_use(col):
-                    compiled = fko.compile(hil, params,
-                                           debug_verify=verify_ir)
-            else:
+        if col is not None:
+            with _obs_use(col):
                 compiled = fko.compile(hil, params, debug_verify=verify_ir)
-            # the share key asserts the compile's complete effective
-            # identity, letting the timer reuse the walk of an earlier
-            # bit-identical kernel; on a memoized walk the summary
-            # itself is skipped — the shared key guarantees it would
-            # have been identical
-            share = fko.share_key(hil, params, debug_verify=verify_ir)
-            base = timer.peek_base(share)
-            if base is None:
-                base = timer.base(summarize(compiled.fn), share,
-                                  source=hil, tiles=params.tiles())
-            timing = timer.finish(base, flops,
-                                  ident=f"{ident_prefix}{params.key()}")
+        else:
+            compiled = fko.compile(hil, params, debug_verify=verify_ir)
+        # the share key asserts the compile's complete effective
+        # identity, letting the timer reuse the walk of an earlier
+        # bit-identical kernel; on a memoized walk the summary itself
+        # is skipped — the shared key guarantees it would have been
+        # identical
+        share = fko.share_key(hil, params, debug_verify=verify_ir)
+        base = timer.peek_base(share)
+        if base is None:
+            base = timer.base(summarize(compiled.fn), share,
+                              source=hil, tiles=params.tiles())
+        timing = timer.finish(base, flops,
+                              ident=f"{ident_prefix}{params.key()}")
     except SimulationFault as exc:
         return float("inf"), f"fault: {exc}", {"fast": False}
-    except EvalTimeout:
-        return float("inf"), "timeout", {"fast": False}
     raw = timing.raw
     meta = {"fast": bool(raw is not None
                          and raw.stats.lines_extrapolated > 0)}
@@ -214,7 +174,6 @@ def _eval_group(fko: FKO, timer: Timer, payload: Dict,
     status and wall) and the group's compile-prefix / shared-walk
     reuse-counter deltas."""
     hil, flops, ident = payload["hil"], payload["flops"], payload["ident"]
-    timeout = payload["timeout"]
     observe, verify_ir = payload["observe"], payload["verify_ir"]
     before = fko.cache_stats()
     tbefore = timer.cache_stats()
@@ -222,7 +181,7 @@ def _eval_group(fko: FKO, timer: Timer, payload: Dict,
     for params in params_list:
         t0 = time.perf_counter()
         cycles, status, meta = evaluate_params(fko, timer, hil, params,
-                                               flops, ident, timeout,
+                                               flops, ident,
                                                observe=observe,
                                                verify_ir=verify_ir)
         outcomes.append(dict(meta, cycles=cycles, status=status,
@@ -350,7 +309,6 @@ class EngineStats:
 
     evaluations: int = 0      # real compile+time runs
     cache_hits: int = 0       # served from the persistent cache
-    timeouts: int = 0
     faults: int = 0           # evaluations lost to a SimulationFault
     fast_path: int = 0        # evaluations timed via steady-state replay
     slow_path: int = 0        # evaluations that walked every line
@@ -426,12 +384,11 @@ class _Evaluator:
         self.search: Optional[Searcher] = None   # set post-construction
         config = session.config
         # what a candidate group needs besides its params: the serial
-        # path reads the first six keys, a pool worker all of them (the
+        # path reads the first five keys, a pool worker all of them (the
         # machine travels as its config, so a worker times the machine
         # the parent was given, not the registry entry of its name)
         self.payload = {"hil": spec.hil, "flops": self.flops,
-                        "ident": self.ident, "timeout": config.timeout,
-                        "observe": config.observe,
+                        "ident": self.ident, "observe": config.observe,
                         "verify_ir": config.verify_ir,
                         "machine": machine, "context": context.value,
                         "n": n}
@@ -542,9 +499,7 @@ class _Evaluator:
         session = self.session
         c, status = outcome["cycles"], outcome["status"]
         session.stats.evaluations += 1
-        if status == "timeout":
-            session.stats.timeouts += 1
-        elif status != "ok":
+        if status != "ok":
             session.stats.faults += 1
         elif outcome.get("fast"):
             session.stats.fast_path += 1
@@ -561,8 +516,7 @@ class _Evaluator:
                              path="fast" if outcome.get("fast") else "slow")
             _metrics.observe("repro_eval_wall_seconds",
                              float(outcome.get("wall") or 0.0))
-        # only completed measurements are worth remembering: a timeout
-        # may be transient, so the next run should try again
+        # only completed measurements are worth remembering
         if session.cache is not None and status == "ok":
             session.cache.put(digest, c, meta={"kernel": self.spec.name,
                                                "machine": self.machine.name,
@@ -593,11 +547,10 @@ class _Evaluator:
 # the session
 
 class TuningSession:
-    """The in-process transport over the engine + scheduler layers.
+    """The in-process transport over the engine.
 
-    Owns the scheduler (and through it the worker pool), the persistent
-    evaluation cache, the trace writer and batch checkpoints.  Use it
-    as a context manager::
+    Owns the worker pool, the persistent evaluation cache, the trace
+    writer and batch checkpoints.  Use it as a context manager::
 
         with TuningSession(TuneConfig(jobs=4, cache_dir=".cache")) as s:
             batch = s.run(registry_jobs(machines=["p4e", "opteron"]))
@@ -611,18 +564,19 @@ class TuningSession:
         self.stats = EngineStats()
         self._trace = (TraceWriter(self.config.trace)
                        if (self.config.trace or buffer_events) else None)
-        # the scheduling layer owns the worker-pool lifecycle; the
-        # session is just its first transport
-        self.scheduler = Scheduler(self.config.jobs)
+        # created lazily by pool(); once broken the session stays serial
+        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._pool_broken = False
         # FKO/Timer instances reused across the jobs of a batch
         self._tools = _Tools()
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Idempotent teardown: the scheduler's pool is cancelled and
-        shut down (no orphaned workers) and the trace file is closed —
-        safe from error paths, including a mid-batch KeyboardInterrupt."""
-        self.scheduler.shutdown()
+        """Idempotent teardown: the pool's queued futures are cancelled
+        and it is shut down without blocking (no orphaned workers), and
+        the trace file is closed — safe from error paths, including a
+        mid-batch KeyboardInterrupt."""
+        self._shutdown_pool()
         if self._trace is not None:
             self._trace.close()
 
@@ -637,11 +591,28 @@ class TuningSession:
     def pool(self) -> Optional[concurrent.futures.ProcessPoolExecutor]:
         """The executor, or None when running serially (``jobs=1``, a
         previously broken pool, or a platform that cannot fork)."""
-        return self.scheduler.pool()
+        if self.config.jobs <= 1 or self._pool_broken:
+            return None
+        if self._pool is None:
+            try:
+                self._pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=self.config.jobs)
+            except (OSError, ValueError):
+                self._pool_broken = True
+        return self._pool
 
     def mark_pool_broken(self, job: Optional[str] = None) -> None:
-        self.scheduler.mark_broken()
+        """Remember that the pool died and shut it down: later
+        ``pool()`` calls return None, so the session degrades to serial
+        once instead of thrashing through re-creation attempts."""
+        self._pool_broken = True
+        self._shutdown_pool()
         self.emit("pool-broken", job=job)
+
+    def _shutdown_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
     @property
     def trace_writer(self) -> Optional[TraceWriter]:
@@ -672,7 +643,7 @@ class TuningSession:
 
         A ``KeyboardInterrupt`` (or any other non-``Exception``) during
         the search tears the session down on the way out — the
-        scheduler's pool is shut down with futures cancelled and the
+        pool is shut down with futures cancelled and the
         trace file is closed — so an interrupted interactive run leaves
         no orphaned workers and a readable partial trace.  Ordinary
         exceptions propagate without closing: a batch (:meth:`run`)

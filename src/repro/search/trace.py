@@ -24,7 +24,7 @@ pass         job, phase, params, pass (pipeline pass name), wall,
              ``ra.spill_loads``) — one per executed pass, emitted
              before the eval they belong to
 eval         job, phase, params (describe()), cycles, wall, status
-             (``ok`` | ``timeout`` | ``fault: ...``), fast (True when
+             (``ok`` | ``fault: ...``), fast (True when
              the timing model's steady-state replay fired)
 attribution  job, phase, params, total, compute, memory_stall,
              prefetch_waste, other, bus_busy, prefetch_issued/

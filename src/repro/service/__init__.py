@@ -1,4 +1,4 @@
-"""Tuning-as-a-service: the transport layer over engine + scheduler.
+"""Tuning-as-a-service: the transport layer over the engine.
 
 The batch tuner is a process you run; this package makes it a service
 you query — the ROADMAP's "millions of users" shape: many clients, one
@@ -11,8 +11,9 @@ daemon in front of it.
   ``TuneResponse`` wire forms and the canonical request digest that
   drives dedup and cache-backed answers;
 * :mod:`~repro.service.jobs` — the async job queue: one shared
-  :class:`~repro.search.engine.TuningSession`, in-flight coalescing,
-  a persistent result store, per-job event streams;
+  :class:`~repro.search.engine.TuningSession`, a fair queue, in-flight
+  coalescing, the global evaluation budget, a persistent result store
+  and per-job event streams;
 * :mod:`~repro.service.daemon` — the ``repro serve`` HTTP/JSON API.
 
 Clients use :mod:`repro.client`, which speaks to either a daemon

@@ -22,7 +22,7 @@ GET      /v1/jobs/{id}/events        NDJSON stream of the job's trace
 GET      /v1/results                 completed TuneResponses, newest
                                      first (result store + resident)
 GET      /v1/stats                   dedup/cache counters, engine
-                                     stats, budget ledger, config
+                                     stats, evaluation budget, config
 GET      /v1/metrics                 process metrics registry in the
                                      Prometheus text exposition format
                                      (``?format=json`` for the JSON
@@ -31,9 +31,9 @@ GET      /v1/healthz                 {ok, version}
 =======  ==========================  =================================
 
 Transport is the *only* thing this module adds: every decision about
-dedup, caching, ordering and execution lives in the job and scheduler
-layers, so an in-process :class:`~repro.client.LocalClient` and an HTTP
-client get bit-identical answers by construction.
+dedup, caching, ordering and execution lives in the job layer, so an
+in-process :class:`~repro.client.LocalClient` and an HTTP client get
+bit-identical answers by construction.
 """
 
 from __future__ import annotations
@@ -205,20 +205,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
-        idx = start
-        while True:
-            events, finished = self.manager.events_since(
-                job.id, idx, wait=follow, timeout=0.25)
-            for record in events:
-                self.wfile.write(json.dumps(record).encode() + b"\n")
-            idx += len(events)
-            self.wfile.flush()
-            if not follow or (finished and not events):
-                more, _ = self.manager.events_since(job.id, idx)
-                for record in more:
-                    self.wfile.write(json.dumps(record).encode() + b"\n")
-                self.wfile.flush()
-                return
+        for record in self.manager.events(job.id, start, follow):
+            self.wfile.write(json.dumps(record).encode() + b"\n")
 
 
 def _arg(query: Dict, name: str) -> Optional[str]:
@@ -311,7 +299,7 @@ def serve(host: str = "127.0.0.1", port: int = 8642,
           max_total_evals: Optional[int] = None,
           metrics: bool = True) -> int:
     """Blocking entry point behind ``repro serve``: boot, print the
-    URL, run until interrupted, tear down cleanly (scheduler pool shut
+    URL, run until interrupted, tear down cleanly (session pool shut
     down, trace file closed) on the way out."""
     handle = start_server(host=host, port=port, config=config,
                           results_dir=results_dir, verbose=verbose,

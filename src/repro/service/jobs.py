@@ -1,14 +1,17 @@
 """The service's job layer: an async queue over one shared engine.
 
-:class:`JobManager` is the piece between transport and scheduler: it
+:class:`JobManager` is the piece between transport and engine: it
 accepts :class:`~repro.service.schema.TuneRequest` submissions from any
 number of threads, coalesces identical in-flight requests onto one job
-(:class:`~repro.search.scheduler.InflightTable`), answers repeats of
+(its in-flight map, keyed by request digest), answers repeats of
 completed requests from the persistent :class:`ServeResultStore` (or
 from memory) without touching the engine, and drains fresh work through
 one shared :class:`~repro.search.engine.TuningSession` in fair order
-(:class:`~repro.search.scheduler.FairQueue` — FIFO per client,
-round-robin across clients).
+(FIFO per client, round-robin across clients).  One lock guards the
+queue, the in-flight map and the job table; the global evaluation
+budget is read from the session's own
+:class:`~repro.search.engine.EngineStats`, so every evaluation counts
+against it, including those of a job that ends in an error.
 
 One session serves every job, so all jobs share the engine's worker
 pool, its persistent evaluation cache and its warm FKO front-end
@@ -29,8 +32,8 @@ import copy
 import hashlib
 import threading
 import time
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..fko import FKO, TransformParams
@@ -40,7 +43,6 @@ from ..obs import metrics as _metrics
 from ..records import RecordStore, read_json
 from ..search.config import TuneConfig
 from ..search.engine import TuningSession
-from ..search.scheduler import BudgetLedger, FairQueue, InflightTable
 from .schema import TuneRequest, TuneResponse, history_digest
 
 #: job states
@@ -51,6 +53,39 @@ class BudgetExhaustedError(ReproError):
     """The daemon's global evaluation budget (``--max-total-evals``) is
     spent: fresh engine runs are refused; coalesced and cached answers
     still work because they cost nothing."""
+
+
+class _FairQueue:
+    """FIFO within a client, round-robin across clients.
+
+    A single greedy client enqueueing a hundred tune requests must not
+    starve everyone else: the queue keeps one FIFO lane per client key
+    and each ``pop`` takes the next item of the least-recently-served
+    client.  With a single client this is plain FIFO — arrival order,
+    fully deterministic.  It has no lock: the manager pushes and pops
+    under its own."""
+
+    def __init__(self):
+        self._lanes: "OrderedDict[Hashable, deque]" = OrderedDict()
+
+    def push(self, item, client: Hashable = "") -> None:
+        self._lanes.setdefault(client, deque()).append(item)
+
+    def pop(self):
+        """Next item, or None when empty.  The served client's lane
+        moves to the back, which is the whole fairness policy."""
+        if not self._lanes:
+            return None
+        client, lane = next(iter(self._lanes.items()))
+        item = lane.popleft()
+        if lane:
+            self._lanes.move_to_end(client)
+        else:
+            del self._lanes[client]
+        return item
+
+    def __len__(self) -> int:
+        return sum(map(len, self._lanes.values()))
 
 
 class ServeJob:
@@ -119,7 +154,8 @@ class JobManager:
     enables the persistent result store.  Call :meth:`start` for the
     background dispatcher (the daemon does), or :meth:`run_inline` to
     drain work in the calling thread (the local client does) — both go
-    through the identical submit/execute path.
+    through the identical submit/execute path.  ``max_total_evals``
+    caps the evaluations the session may run across all jobs.
     """
 
     def __init__(self, config: Optional[TuneConfig] = None,
@@ -134,11 +170,13 @@ class JobManager:
         self.session.trace_writer.subscribe(self._on_event)
         self.store = (ServeResultStore(results_dir)
                       if results_dir else None)
-        self.queue = FairQueue()
-        self.inflight = InflightTable()
-        self.ledger = BudgetLedger(max_total_evals)
+        self.max_total_evals = max_total_evals
         self.retention = retention
         self.jobs: "OrderedDict[str, ServeJob]" = OrderedDict()
+        # guarded by the lock: queued jobs, and the queued/running job
+        # of each digest (identical requests coalesce onto it)
+        self._queue = _FairQueue()
+        self._inflight: Dict[str, ServeJob] = {}
         self._done_by_digest: Dict[str, str] = {}
         self._lock = threading.RLock()
         self.cond = threading.Condition(self._lock)
@@ -174,8 +212,8 @@ class JobManager:
                              client=client or "anonymous")
             digest = request.digest()
             # identical request already in flight -> same job
-            slot = self.inflight.get(digest)
-            if slot is not None and slot.active:
+            slot = self._inflight.get(digest)
+            if slot is not None:
                 self.coalesced += 1
                 _metrics.inc("repro_requests_total", how="coalesced")
                 self._set_queue_gauges()
@@ -203,17 +241,17 @@ class JobManager:
                     _metrics.inc("repro_requests_total", how="cached")
                     self.cond.notify_all()
                     return job, "cached"
-            # fresh work: claim the digest and queue fairly (all
-            # submitters hold the manager lock, so the claim is ours)
-            if self.ledger.exhausted():
+            # fresh work: claim the digest and queue fairly
+            spent = self.session.stats.evaluations
+            if (self.max_total_evals is not None
+                    and spent >= self.max_total_evals):
                 raise BudgetExhaustedError(
                     f"global evaluation budget spent "
-                    f"({self.ledger.total_evaluations}"
-                    f"/{self.ledger.max_total_evals}); "
+                    f"({spent}/{self.max_total_evals}); "
                     f"fresh tune requests are refused")
             job = self._admit(request)
-            self.inflight.claim(digest, lambda: job)
-            self.queue.push(job, client=client)
+            self._inflight[digest] = job
+            self._queue.push(job, client=client)
             _metrics.inc("repro_requests_total", how="new")
             self._set_queue_gauges()
             self.cond.notify_all()
@@ -221,16 +259,15 @@ class JobManager:
 
     def _set_queue_gauges(self) -> None:
         """Refresh the daemon's live gauges (queue depth, in-flight
-        dedup table, budget remaining).  Called with the lock held at
-        every queue transition; free when metrics are disabled."""
+        map, budget remaining).  Called with the lock held at every
+        queue transition; free when metrics are disabled."""
         if not _metrics._ENABLED:
             return
-        _metrics.set_gauge("repro_queue_depth", len(self.queue))
-        _metrics.set_gauge("repro_inflight", len(self.inflight))
-        ledger = self.ledger
-        remaining = (-1 if ledger.max_total_evals is None
-                     else max(0, ledger.max_total_evals
-                              - ledger.total_evaluations))
+        _metrics.set_gauge("repro_queue_depth", len(self._queue))
+        _metrics.set_gauge("repro_inflight", len(self._inflight))
+        remaining = (-1 if self.max_total_evals is None
+                     else max(0, self.max_total_evals
+                              - self.session.stats.evaluations))
         _metrics.set_gauge("repro_budget_remaining_evals", remaining)
 
     def _admit(self, request: TuneRequest) -> ServeJob:
@@ -305,9 +342,6 @@ class JobManager:
                     job.state = response.status
                     job.error = response.error
                     delta = response.stats
-                    self.ledger.charge(job.id,
-                                       delta.get("evaluations", 0),
-                                       delta.get("cache_hits", 0))
                     if response.ok:
                         self.completed += 1
                         _metrics.inc("repro_jobs_completed_total")
@@ -323,7 +357,7 @@ class JobManager:
                         self.errors += 1
                         _metrics.inc("repro_jobs_errored_total")
                 job.finished = time.time()
-                self.inflight.release(job.digest)
+                self._inflight.pop(job.digest, None)
                 self._set_queue_gauges()
                 self.cond.notify_all()
 
@@ -348,25 +382,32 @@ class JobManager:
     def _loop(self) -> None:
         while True:
             with self.cond:
-                while not self._stop and len(self.queue) == 0:
+                while not self._stop and len(self._queue) == 0:
                     self.cond.wait(0.1)
                 if self._stop:
                     return
-            job = self.queue.pop()
-            if job is not None:
-                self._execute(job)
+                job = self._queue.pop()
+            self._execute(job)
+
+    def drain(self, until: Optional[ServeJob] = None) -> None:
+        """Execute queued jobs in the calling thread, in fair order,
+        until the queue is empty or ``until`` has finished — the local
+        client's mode.  A no-op while the background dispatcher runs."""
+        if self._dispatcher is not None and self._dispatcher.is_alive():
+            return
+        while until is None or until.active:
+            with self.cond:
+                job = self._queue.pop()
+            if job is None:
+                return
+            self._execute(job)
 
     def run_inline(self, request: TuneRequest,
                    client: str = "") -> TuneResponse:
         """Submit and drain in the calling thread (the local client's
         mode — no dispatcher, same code path)."""
         job, how = self.submit(request, client=client)
-        if self._dispatcher is None or not self._dispatcher.is_alive():
-            while job.active:
-                head = self.queue.pop()
-                if head is None:
-                    break
-                self._execute(head)
+        self.drain(until=job)
         return self.annotate(self.wait(job.id), how)
 
     @staticmethod
@@ -400,18 +441,26 @@ class JobManager:
                                     error=job.error or "job lost")
             return job.response
 
-    def events_since(self, job_id: str, start: int = 0,
-                     wait: bool = False,
-                     timeout: float = 0.25) -> Tuple[List[Dict], bool]:
-        """Events ``[start:]`` plus a finished flag; with ``wait``,
-        blocks up to ``timeout`` for news when there is none yet."""
+    def events(self, job_id: str, start: int = 0,
+               follow: bool = False) -> Iterator[Dict]:
+        """The job's events from ``start``; with ``follow``, yields live
+        until the job finishes.  The lock is never held across a
+        yield, so a consumer that stops early blocks nothing."""
         with self.cond:
             job = self.jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            if wait and job.active and len(job.events) <= start:
-                self.cond.wait(timeout)
-            return list(job.events[start:]), not job.active
+        if job is None:
+            raise KeyError(f"unknown job {job_id!r}")
+        idx = start
+        while True:
+            with self.cond:
+                if follow and job.active and len(job.events) <= idx:
+                    self.cond.wait(0.25)
+                batch = job.events[idx:]
+                finished = not job.active
+            yield from batch
+            idx += len(batch)
+            if not follow or (finished and not batch):
+                return
 
     # -- one-shot compile (the fuzzer's soak hook) ----------------------
     def compile_info(self, kernel: str, machine: str,
@@ -450,8 +499,8 @@ class JobManager:
                     "completed": self.completed,
                     "errors": self.errors,
                     "compiles": self.compiles,
-                    "queued": len(self.queue),
-                    "inflight": len(self.inflight),
+                    "queued": len(self._queue),
+                    "inflight": len(self._inflight),
                     "resident_jobs": len(self.jobs),
                     "stored_results": (len(self.store)
                                        if self.store is not None else 0),
@@ -467,7 +516,10 @@ class JobManager:
                             engine.get("batch_size_total", 0)
                             / engine["batch_groups"]
                             if engine.get("batch_groups") else 0.0)},
-                    "budget": self.ledger.to_dict(),
+                    "budget": {
+                        "total_evaluations": engine["evaluations"],
+                        "total_cache_hits": engine["cache_hits"],
+                        "max_total_evals": self.max_total_evals},
                     "config": self.config.to_public_dict()}
 
     def results(self, limit: Optional[int] = None) -> List[Dict]:

@@ -75,7 +75,6 @@ class TuneRequest:
     verify_ir: bool = False
     min_gain: float = 0.005
     enable_block_fetch: bool = False
-    timeout: Optional[float] = None
     test: bool = True
 
     def __post_init__(self):

@@ -168,7 +168,7 @@ def _tune_with_pool(pool, batch_size):
                      jobs=1 if pool is None else 2)
     with TuningSession(cfg, buffer_events=True) as s:
         if pool is not None:
-            s.scheduler._pool = pool
+            s._pool = pool
         tuned = s.tune("daxpy", "opteron", Context.OUT_OF_CACHE, 80000)
         counters = {k: getattr(s.stats, k) for k in _BATCH_COUNTERS}
         return history_digest(tuned.search), counters, s.drain_events()

@@ -138,19 +138,18 @@ def test_every_field_has_a_flag():
 
 #: every engine flag spelling each subcommand accepted before the flags
 #: were generated (``--test-best`` aside: it was folded into the tester;
-#: ``--no-fast-timing`` and ``--no-prefix-cache`` aside: their switches
-#: are deleted)
+#: ``--no-fast-timing``, ``--no-prefix-cache`` and ``--timeout`` aside:
+#: their knobs are deleted)
 PARENT_FLAGS = {
     "tune": ["-c oc", "--context ic", "--n 100", "--max-evals 5",
              "--strategy random", "--seed 3", "--warm-start D", "--jobs 2",
-             "-j 2", "--cache-dir D", "--trace-out F", "--timeout 1.5",
-             "--batch-size 4", "--observe", "--verify-ir",
+             "-j 2", "--cache-dir D", "--trace-out F", "--batch-size 4", "--observe", "--verify-ir",
              "--enable-block-fetch", "--serve-url U", "--asm", "--verbose", "-v", "-m opteron",
              "--machine p4e"],
     "tune-all": ["-c oc", "--context ic", "--n 100", "--max-evals 5",
                  "--strategy random", "--seed 3", "--warm-start D",
                  "--jobs 2", "-j 2", "--cache-dir D", "--trace-out F",
-                 "--timeout 1.5", "--batch-size 4", "--observe",
+                 "--batch-size 4", "--observe",
                  "--verify-ir",
                  "--resume F", "--test", "--kernels ddot",
                  "--serve-url U", "-m opteron", "--machine p4e"],
@@ -176,22 +175,23 @@ def test_test_best_flag_is_gone(head):
 
 @pytest.mark.parametrize("head", [["tune", "ddot"], ["tune-all"],
                                   ["serve"]])
-@pytest.mark.parametrize("flag", ["--no-fast-timing", "--no-prefix-cache"])
+@pytest.mark.parametrize("flag", ["--no-fast-timing", "--no-prefix-cache",
+                                  "--timeout 1"])
 def test_switches_that_cannot_change_an_answer_are_gone(head, flag):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(head + [flag])
+        build_parser().parse_args(head + flag.split())
     names = {f.name for f in dataclasses.fields(TuneConfig)}
-    assert not names & {"fast_timing", "prefix_cache"}
-    assert "fast_timing" not in {f.name
-                                 for f in dataclasses.fields(TuneRequest)}
+    assert not names & {"fast_timing", "prefix_cache", "timeout"}
+    wire = {f.name for f in dataclasses.fields(TuneRequest)}
+    assert not wire & {"fast_timing", "timeout"}
 
 
 def test_flag_values_reach_the_config():
     args = build_parser().parse_args(
-        ["tune-all", "--timeout", "1.5", "--verify-ir", "--test",
+        ["tune-all", "--verify-ir", "--test",
          "--trace-out", "F", "-j", "2", "--batch-size", "4"])
     config = _engine_config(args)
-    assert config.timeout == 1.5 and isinstance(config.timeout, float)
+    assert isinstance(config.jobs, int) and isinstance(config.batch_size, int)
     assert (config.verify_ir, config.run_tester, config.trace,
             config.jobs, config.batch_size) == (True, True, "F", 2, 4)
 
@@ -230,7 +230,7 @@ def test_from_config_round_trips():
     config = TuneConfig(max_evals=7, run_tester=False, strategy="genetic",
                         seed=3, observe=True,
                         verify_ir=True, min_gain=0.01,
-                        enable_block_fetch=True, timeout=2.0,
+                        enable_block_fetch=True,
                         jobs=2, batch_size=4)
     request = TuneRequest.from_config("ddot", "P4E", "oc", None, config)
     assert (request.machine, request.context, request.n) \

@@ -1,11 +1,12 @@
-"""Tests for the tuning service: schema, scheduler, job layer, daemon.
+"""Tests for the tuning service: schema, scheduling, job layer, daemon.
 
 The layering contract under test:
 
 * **schema** — every spelling of the same problem digests identically;
   ``from_dict`` is tolerant; the digest changes when the answer could;
-* **scheduler** — FairQueue round-robin, InflightTable coalescing,
-  BudgetLedger accounting, idempotent Scheduler shutdown;
+* **scheduling** — tested at its owners: the job manager's fair queue
+  (round-robin across clients, FIFO within one), its in-flight map and
+  its evaluation budget, and the session's idempotent pool shutdown;
 * **jobs** — identical in-flight requests share one engine run, repeats
   are answered from memory or the persistent result store without
   re-evaluation, the event stream replays exactly what the trace file
@@ -23,8 +24,6 @@ import pytest
 
 from repro.machine import Context
 from repro.search import TuneConfig, TuningSession, read_trace
-from repro.search.scheduler import (BudgetLedger, FairQueue, InflightTable,
-                                    Scheduler)
 from repro.service import (BudgetExhaustedError, JobManager, ServeResultStore,
                            TuneRequest, TuneResponse, history_digest)
 from repro.service.daemon import start_server
@@ -74,6 +73,10 @@ class TestTuneRequestSchema:
                   "context": "oc", "n": N, "strategy": "line",
                   "seed": 0, "budget": EVALS, "test": False}
         assert TuneRequest.from_dict(legacy).digest() == _request().digest()
+        # a payload from before the per-evaluation timeout was deleted
+        # still parses: the retired key is ignored like any unknown one
+        assert (TuneRequest.from_dict(dict(legacy, timeout=2.5)).digest()
+                == _request().digest())
         # vector kernels keep the paper's default N (old digests stable)
         from repro.timing.timer import paper_n
         assert TuneRequest(kernel="ddot").n == \
@@ -112,15 +115,15 @@ class TestTuneRequestSchema:
 
     @pytest.mark.parametrize("payload, want", [
         ({"kernel": "ddot"},
-         "6487c982449f7ec9f776add3f41c113e88ab99833f233bc48bf91c544dec4ade"),
+         "0174ee06407db46fe43d42d02f0fac2078a866fc1e5442dc111d62cde83598f5"),
         ({"kernel": "dgemm", "machine": "opteron",
           "context": "in-l2-cache", "n": 128, "strategy": "genetic",
           "seed": 7, "budget": 33, "observe": True, "verify_ir": True,
           "min_gain": 0.01,
-          "enable_block_fetch": True, "timeout": 2.5, "test": False},
-         "a7f519c47feea9b76c55510248c50ffce6d55f43d16da1d74457c18177b56e38"),
+          "enable_block_fetch": True, "test": False},
+         "693ab31616b0e6ce99ad793a9392fe63b9a42c95b081c6ec111e6564b18f0ee7"),
         ({"kernel": "sasum", "max_evals": 12},
-         "aeaeacf3376f88a462aa270699098a76a1e62701dd1abd506d5f087d1080af98"),
+         "e89f44df72173e2bedb7a35f888e3225769dd0df50dfc6dba26f67dadcba8c8e"),
     ], ids=["defaults", "every-field", "max-evals-alias"])
     def test_golden_digests(self, monkeypatch, payload, want):
         """Request identity is load-bearing (dedup keys, stored
@@ -139,57 +142,74 @@ class TestTuneRequestSchema:
 
 
 # ---------------------------------------------------------------------------
-# scheduler primitives
+# scheduling, at its owners
+
+def _drain_order(submissions):
+    """Submit ``(client, seed)`` requests to a parked manager (no
+    dispatcher), then drain it; returns the seeds in execution order.
+    The engine is stubbed out: only the order is under test."""
+    order = []
+    with JobManager(config=_config()) as m:
+        def record(*args, **kwargs):
+            order.append(m.session.config.seed)
+            raise RuntimeError("not run")
+        m.session.tune = record
+        for client, seed in submissions:
+            assert m.submit(_request(seed=seed), client=client)[1] == "new"
+        m.drain()
+    return order
+
 
 class TestSchedulerPrimitives:
+    """The scheduling policy, at the objects that own it: the job
+    manager's queue, in-flight map and budget, and the session's pool."""
+
     def test_fair_queue_round_robin(self):
-        q = FairQueue()
-        for item in ("a1", "a2", "a3"):
-            q.push(item, client="a")
-        q.push("b1", client="b")
-        q.push("c1", client="c")
-        assert [q.pop() for _ in range(5)] == ["a1", "b1", "c1", "a2", "a3"]
-        assert q.pop() is None and len(q) == 0
+        order = _drain_order([("a", 1), ("a", 2), ("a", 3), ("b", 4),
+                              ("c", 5)])
+        assert order == [1, 4, 5, 2, 3]
 
     def test_fair_queue_single_client_is_fifo(self):
-        q = FairQueue()
-        for i in range(5):
-            q.push(i)
-        assert [q.pop() for _ in range(5)] == list(range(5))
-
-    def test_fair_queue_remove(self):
-        q = FairQueue()
-        q.push("x", client="a")
-        q.push("y", client="a")
-        assert q.remove("x") and not q.remove("x")
-        assert q.pop() == "y"
+        assert _drain_order([("", i) for i in range(5)]) == list(range(5))
 
     def test_inflight_claims_coalesce(self):
-        t = InflightTable()
-        slot, created = t.claim("d1", lambda: object())
-        again, created2 = t.claim("d1", lambda: object())
-        assert created and not created2 and slot is again
-        assert t.coalesced == 1 and len(t) == 1
-        t.release("d1")
-        assert t.get("d1") is None
+        with JobManager(config=_config()) as m:
+            job, how = m.submit(_request())
+            again, how2 = m.submit(_request(machine="P4E", context="oc"))
+            assert (how, how2) == ("new", "coalesced") and again is job
+            assert m.coalesced == 1 and m.stats_dict()["inflight"] == 1
+            m.drain()
+            assert not job.active and m.stats_dict()["inflight"] == 0
+            assert m.submit(_request())[1] == "cached"
 
     def test_budget_ledger(self):
-        led = BudgetLedger(max_total_evals=10)
-        led.charge("j-1", 6, cache_hits=2)
-        assert not led.exhausted()
-        led.charge("j-2", 4)
-        assert led.exhausted()
-        d = led.to_dict()
-        assert d["total_evaluations"] == 10
-        assert d["jobs"]["j-1"] == {"evaluations": 6, "cache_hits": 2}
+        """The budget is the session's own evaluation count: the
+        ``/v1/stats`` budget block reads EngineStats, nothing else."""
+        with JobManager(config=_config(), max_total_evals=EVALS + 1) as m:
+            m.run_inline(_request())
+            m.submit(_request(kernel="dcopy"))   # still under the ceiling
+            stats = m.stats_dict()
+            engine = stats["engine"]
+            assert stats["budget"] == {
+                "total_evaluations": engine["evaluations"],
+                "total_cache_hits": engine["cache_hits"],
+                "max_total_evals": EVALS + 1}
+            assert 0 < engine["evaluations"] <= EVALS
+            m.drain()
+            with pytest.raises(BudgetExhaustedError):
+                m.submit(_request(kernel="ddot"))
 
     def test_scheduler_shutdown_idempotent(self):
-        s = Scheduler(jobs=1)
-        assert s.pool() is None          # serial: no pool to own
-        s.shutdown()
-        s.shutdown()                     # safe on error paths
-        s.mark_broken()
-        assert s.broken and s.pool() is None
+        with TuningSession(_config(jobs=1)) as s:
+            assert s.pool() is None          # serial: no pool to own
+        s = TuningSession(_config(jobs=2))
+        pool = s.pool()
+        assert pool is not None and s.pool() is pool
+        s.close()
+        s.close()                            # safe on error paths
+        s.mark_pool_broken()
+        assert s.pool() is None and s.pool() is None   # stays serial
+        s.close()
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +275,24 @@ class TestJobManager:
             # a repeat costs nothing and is still answered
             again = m.run_inline(_request())
             assert again.served_from == "memory"
+            with pytest.raises(BudgetExhaustedError):
+                m.submit(_request(kernel="dcopy"))
+
+    def test_errored_job_is_charged_to_the_budget(self, monkeypatch):
+        """A job whose winner fails the tester has still spent its
+        evaluations; the next fresh request must see them."""
+        import repro.search.engine as engine
+        from repro.errors import KernelTestFailure
+
+        def fail(*args, **kwargs):
+            raise KernelTestFailure("forced")
+        monkeypatch.setattr(engine, "test_kernel", fail)
+        with JobManager(config=_config(), max_total_evals=10) as m:
+            response = m.run_inline(_request(kernel="ddot", budget=12,
+                                             test=True))
+            assert not response.ok and "forced" in response.error
+            assert m.session.stats.evaluations == 12
+            assert m.stats_dict()["budget"]["total_evaluations"] == 12
             with pytest.raises(BudgetExhaustedError):
                 m.submit(_request(kernel="dcopy"))
 
@@ -459,6 +497,63 @@ class TestDaemonStaging:
             assert client.tune(_request()).served_from is not None
             with pytest.raises(ServiceError, match="429"):
                 client.submit(_request(kernel="dcopy"))
+
+
+class TestDaemonFaults:
+    def test_refused_store_write_still_answers(self, tmp_path,
+                                               monkeypatch):
+        """A result store that refuses the write costs durability, not
+        the answer: the request is answered and a repeat is served from
+        memory."""
+        puts = []
+
+        def refuse(self, digest, response):
+            puts.append(digest)
+            return False
+        monkeypatch.setattr(ServeResultStore, "put", refuse)
+        handle = start_server("127.0.0.1", 0, config=_config(),
+                              results_dir=str(tmp_path / "results"))
+        with handle:
+            client = ServeClient(handle.url)
+            first = client.tune(_request())
+            again = client.tune(_request())
+            assert first.ok and again.served_from == "memory"
+            assert again.history_digest == first.history_digest
+            assert client.stats()["stored_results"] == 0
+        assert len(puts) == 1
+
+    def test_client_disconnect_mid_stream(self, monkeypatch):
+        """A client that drops a live NDJSON event stream partway
+        through leaves the daemon serving.  The engine is held after
+        ``job-start`` until the client has gone, so every later event
+        is written to a closed connection."""
+        import http.client
+        import repro.search.engine as engine
+        gate = threading.Event()
+        many = engine._Evaluator.many
+
+        def gated(self, *args, **kwargs):
+            gate.wait(60)
+            return many(self, *args, **kwargs)
+        monkeypatch.setattr(engine._Evaluator, "many", gated)
+        handle = start_server("127.0.0.1", 0, config=_config(),
+                              autostart=False)
+        with handle:
+            client = ServeClient(handle.url)
+            ticket = client.submit(_request())
+            host, port = handle.server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=60)
+            conn.request("GET", f"/v1/jobs/{ticket['job_id']}/events"
+                                "?follow=1")
+            stream = conn.getresponse()
+            handle.manager.start()
+            assert json.loads(stream.readline())["event"] == "job-start"
+            stream.close()
+            conn.close()
+            gate.set()
+            assert client.wait(ticket["job_id"], timeout=120).ok
+            assert client.healthz()["ok"] is True
+            assert client.tune(_request(kernel="dcopy")).ok
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 import repro.experiments.store as store_mod
 from repro.experiments.store import ResultStore
 from repro.machine import Context, pentium4e
+from repro.service import history_digest
 
 
 class TestDiskCache:
@@ -42,15 +43,19 @@ class TestDiskCache:
         monkeypatch.setattr(store_mod, "__version__", "0.0.0-other")
         assert len(row(ResultStore(cache_dir=str(tmp_path)))) == 3
 
-    def test_ifko_not_reloaded_from_disk(self, tmp_path):
-        """ifko results carry SearchResult detail that the JSON summary
-        cannot represent, so they are recomputed per process."""
+    def test_ifko_reloads_with_its_search(self, tmp_path):
+        """ifko rows persist their full SearchResult, so a second store
+        on the same directory reloads the row, search history and all,
+        without running a single evaluation."""
         s1 = ResultStore(cache_dir=str(tmp_path))
         r1 = s1.get(pentium4e(), Context.IN_L2, "sscal", "ifko")
         assert r1.search is not None
         s2 = ResultStore(cache_dir=str(tmp_path))
         r2 = s2.get(pentium4e(), Context.IN_L2, "sscal", "ifko")
-        assert r2.search is not None   # recomputed, not a summary
+        # a recompute would run the search, or hit the eval cache
+        # under evals/
+        assert s2.session.stats.evaluations + s2.session.stats.cache_hits == 0
+        assert history_digest(r2.search) == history_digest(r1.search)
 
     @pytest.mark.parametrize("bad", ["{}", "[1, 2]"])
     def test_malformed_row_is_recomputed(self, tmp_path, bad):
