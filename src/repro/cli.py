@@ -456,8 +456,7 @@ def cmd_serve(args) -> int:
     config = _engine_config(args)
     return serve(host=args.host, port=args.port, config=config,
                  results_dir=args.results_dir, verbose=args.verbose,
-                 max_total_evals=args.max_total_evals,
-                 metrics=not args.no_metrics)
+                 max_total_evals=args.max_total_evals)
 
 
 def cmd_metrics(args) -> int:
@@ -489,7 +488,7 @@ def cmd_curves(args) -> int:
     streams = [TraceStream(path) for path in args.files]
     curves = collect_curves(chain.from_iterable(streams))
     if not curves:
-        # an empty (or curve-event-free) trace is a valid answer, not
+        # an empty (or job-free) trace is a valid answer, not
         # an error: report "no data" and exit clean so pipelines that
         # tee every trace through here don't trip on quiet ones
         print(f"# curves: no convergence data in "
@@ -667,9 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     psv.add_argument("--max-total-evals", type=int, default=None,
                      help="refuse new engine runs once this many "
                           "evaluations have been spent across all jobs")
-    psv.add_argument("--no-metrics", action="store_true",
-                     help="do not enable the process metrics registry "
-                          "(GET /v1/metrics then answers empty series)")
     psv.add_argument("--verbose", "-v", action="store_true",
                      help="log every HTTP request to stderr")
     psv.set_defaults(func=cmd_serve)

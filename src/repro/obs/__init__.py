@@ -27,7 +27,7 @@ decisions are bit-identical either way (``tests/test_obs.py``).
 """
 
 from . import metrics
-from .core import Collector, PassSpan, active, count, enabled, use
+from .core import Collector, PassSpan, active, count, use
 from .curves import (aggregate_curves, collect_curves, curves_document,
                      render_curves_markdown)
 from .irstats import IRSnapshot, ir_snapshot
@@ -36,7 +36,7 @@ from .perfdiff import diff_metrics, load_artifact, render_diff
 from .perfetto import export_perfetto, write_perfetto
 from .report import render_report
 
-__all__ = ["Collector", "PassSpan", "active", "count", "enabled", "use",
+__all__ = ["Collector", "PassSpan", "active", "count", "use",
            "IRSnapshot", "ir_snapshot", "export_perfetto",
            "write_perfetto", "render_report", "metrics",
            "MetricsRegistry", "collect_curves", "aggregate_curves",

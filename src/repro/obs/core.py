@@ -1,4 +1,4 @@
-"""The collector: hierarchical spans, monotonic counters, metrics.
+"""The collector: hierarchical spans and monotonic counters.
 
 One :class:`Collector` records everything one observed unit of work
 (typically a single compile+time evaluation) produced:
@@ -11,10 +11,7 @@ One :class:`Collector` records everything one observed unit of work
 * **counters** — monotonic named counts (``obs.count("spill_loads", n)``
   from inside a transform); counter *deltas* over a pass are folded
   into that pass's record, so each transform's fine-grained numbers
-  land next to its wall time;
-* **metrics** — a per-run registry of last-write-wins gauges
-  (``collector.gauge("cycles", c)``) for whole-run facts that are not
-  monotonic counts.
+  land next to its wall time.
 
 Instrumented code never holds a collector; it asks :func:`active` for
 the installed one and does nothing when there is none.  That makes the
@@ -50,10 +47,6 @@ def active() -> Optional["Collector"]:
     return _ACTIVE
 
 
-def enabled() -> bool:
-    return _ACTIVE is not None
-
-
 @contextmanager
 def use(collector: "Collector"):
     """Install ``collector`` for the duration of the block (re-entrant:
@@ -78,20 +71,15 @@ def count(name: str, by: int = 1) -> None:
 class Collector:
     """Accumulates one observed unit of work.  See the module docstring."""
 
-    __slots__ = ("passes", "counters", "metrics")
+    __slots__ = ("passes", "counters")
 
     def __init__(self):
         self.passes: List[Dict] = []
         self.counters: Dict[str, float] = {}
-        self.metrics: Dict[str, float] = {}
 
-    # -- counters / metrics --------------------------------------------
+    # -- counters -------------------------------------------------------
     def count(self, name: str, by: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + by
-
-    def gauge(self, name: str, value: float) -> None:
-        """Record a last-write-wins metric (not monotonic)."""
-        self.metrics[name] = value
 
     # -- pass spans -----------------------------------------------------
     def pass_span(self, name: str, fn=None) -> "PassSpan":
@@ -99,12 +87,6 @@ class Collector:
         ``fn=None`` records a span with zero IR stats — for work that
         happens before any IR exists (e.g. source-level tiling)."""
         return PassSpan(self, name, fn)
-
-    def snapshot(self) -> Dict:
-        """A plain-data view (what a worker ships back to the parent)."""
-        return {"passes": list(self.passes),
-                "counters": dict(self.counters),
-                "metrics": dict(self.metrics)}
 
 
 class PassSpan:

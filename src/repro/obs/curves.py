@@ -9,13 +9,15 @@ budget, not just at the finish line.
 
 Two sources, one curve:
 
-* **curve events** (schema v2 addition, one per ``tell``) carry the
-  engine's own best-so-far samples — ``evaluations`` charged and
-  ``best_cycles`` after each ask/tell round;
-* for traces recorded before curve events existed, the same trajectory
-  is *derived* at evaluation granularity from the ``eval`` and
-  ``cache-hit`` events in file order (both charge the searcher's
-  budget, so the derived x-axis matches the searcher's accounting).
+* **round events** (one per ``tell``) carry the engine's own
+  best-so-far samples — ``evaluations`` charged and ``best_cycles``
+  after each ask/tell round (every trace carries them, including
+  those recorded beside the ``curve`` events of schema v2, which are
+  ignored);
+* the same trajectory is *derived* at evaluation granularity from the
+  ``eval`` and ``cache-hit`` events in file order (both charge the
+  searcher's budget, so the derived x-axis matches the searcher's
+  accounting).
 
 Everything here consumes any iterable of events — a materialized
 :class:`~repro.search.trace.TraceEvents` list or a streaming
@@ -50,9 +52,8 @@ def collect_curves(events: Iterable[Dict]) -> "OrderedDict[str, Dict]":
     * ``points`` — eval-granularity improvement steps
       ``[[budget_charged, best_cycles], ...]`` (budget counts real
       evaluations *and* cache hits, matching the searcher's charging);
-    * ``tells`` — the engine's per-tell curve-event samples
-      ``[[evaluations, best_cycles], ...]`` (empty for pre-curve
-      traces);
+    * ``tells`` — the engine's per-tell round-event samples
+      ``[[evaluations, best_cycles], ...]``;
     * ``evaluations`` — total budget charged;
     * ``best_cycles`` — the final best.
     """
@@ -93,14 +94,14 @@ def collect_curves(events: Iterable[Dict]) -> "OrderedDict[str, Dict]":
                     or c < entry["best_cycles"]):
                 entry["best_cycles"] = float(c)
                 entry["points"].append([entry["evaluations"], float(c)])
-        elif kind == "curve":
+        elif kind == "round":
             b = ev.get("best_cycles")
             n = ev.get("evaluations")
             if isinstance(b, (int, float)) and isinstance(n, (int, float)):
                 entry["tells"].append([int(n), float(b)])
         elif kind in ("job-end", "job-error"):
             active.pop(job, None)
-    # curve events carry the budget/best trajectory too, so a trace
+    # round events carry the budget/best trajectory too, so a trace
     # holding only them (no per-eval events) still aggregates to
     # nonzero checkpoints instead of the zero-budget "no data"
     # degenerate.  Folded only where no eval/cache-hit events were

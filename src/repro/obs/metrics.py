@@ -1,33 +1,36 @@
-"""Process-wide metrics: counters, gauges and histograms with labels.
+"""Process-wide metrics: histograms recorded, counters and gauges read.
 
 This is the second observability layer, above :mod:`repro.obs.core`'s
 per-evaluation collector.  A :class:`Collector` answers "what happened
-inside *this* compile+time evaluation"; the metrics registry answers
-"what is this *process* doing over time" — evals/sec, cache hit rates,
-queue depth, per-pass wall-time distributions — the numbers a serving
-fleet scrapes and alerts on.
+inside *this* compile+time evaluation"; the metrics served at
+``GET /v1/metrics`` answer "what is this *process* doing over time" —
+evals/sec, cache hit rates, queue depth, per-pass wall-time
+distributions — the numbers a serving fleet scrapes and alerts on.
 
-The design follows the collector's inert-when-disabled contract:
+Each fact has one writer.  Counters and gauges already have an owner
+that counts them — the session's
+:class:`~repro.search.engine.EngineStats`, the daemon's job manager,
+its queue and in-flight map — so they are never pushed here: the
+scraper reads them from their owners at scrape time and hands them to
+:func:`render_prometheus` / :func:`snapshot`.  The registry records
+only the distributions that have no other home: eval, batch-group,
+pass and tiling wall times (:func:`observe`).
 
-* a single module global ``_ENABLED`` gates every hot-path helper, so
-  with metrics off the cost of an instrumentation point is one global
-  read and a boolean check (the same CI bench guard that holds the
-  collector to ≤ 3% of eval throughput also covers the enabled
-  registry);
-* instrumented code never holds the registry; it calls the module-level
-  helpers (:func:`inc`, :func:`set_gauge`, :func:`observe`) which no-op
-  when disabled;
-* series are keyed by ``(name, sorted(label items))`` so one metric
-  name fans out over label values exactly like Prometheus expects.
+Recording follows the collector's inert-when-disabled contract: a
+single module global ``_ENABLED`` gates :func:`observe`, so with
+metrics off an instrumentation point costs one global read and a
+boolean check (the same CI bench guard that holds the collector to
+≤ 3% of eval throughput also covers the enabled registry).
 
-Scope is **per process** by design.  The engine records its counters
-parent-side (in ``_Evaluator``), so engine-level metrics are complete
-even under process-pool fan-out; per-pass compile histograms are fed
-from inside whatever process runs the pipeline, so under ``jobs>1``
-worker-side compiles land in the worker's registry, not the parent's.
-The daemon — the primary scraping target — compiles in-process workers
-it owns, and its request/queue/budget metrics are all parent-side.
+Scope is **per process**.  The engine observes eval wall times and
+group sizes parent-side, whichever process computed the outcome; pass
+and tiling histograms are fed from inside whatever process runs the
+compile, so under ``jobs>1`` a forked worker's compiles land in that
+worker's registry and a daemon scrape sees only the compiles its own
+process ran.
 
+Derived series are passed as ``{name: value}`` for an unlabeled series
+or ``{name: (label, {label_value: value})}`` for a one-label family.
 Export formats: :func:`render_prometheus` emits the Prometheus text
 exposition format (``GET /v1/metrics`` on the daemon), and
 :func:`snapshot` returns a plain-JSON dict (``repro metrics --json``).
@@ -37,12 +40,11 @@ Nothing here needs anything outside the stdlib.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "MetricsRegistry", "enable", "disable", "enabled", "registry",
-    "reset", "inc", "set_gauge", "observe",
-    "render_prometheus", "snapshot",
+    "reset", "observe", "render_prometheus", "snapshot",
 ]
 
 _ENABLED: bool = False
@@ -57,11 +59,28 @@ _DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 _LabelKey = Tuple[Tuple[str, str], ...]
 
+#: a derived family: a value, or (label name, {label value: value})
+Derived = Union[float, Tuple[str, Mapping[str, float]]]
+
 
 def _label_key(labels: Dict[str, str]) -> _LabelKey:
     if not labels:
         return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def _series(derived: Optional[Mapping[str, Derived]]
+            ) -> Dict[str, Dict[_LabelKey, float]]:
+    """Derived families in the registry's ``{name: {label key: value}}``
+    shape."""
+    out: Dict[str, Dict[_LabelKey, float]] = {}
+    for name, value in (derived or {}).items():
+        if isinstance(value, tuple):
+            label, values = value
+            out[name] = {((label, str(k)),): v for k, v in values.items()}
+        else:
+            out[name] = {(): value}
+    return out
 
 
 class _Histogram:
@@ -82,38 +101,24 @@ class _Histogram:
 
 
 class MetricsRegistry:
-    """Holds every series recorded by this process.
-
-    Three families, all labeled:
-
-    * **counters** — monotonic (``inc``);
-    * **gauges** — last-write-wins (``set_gauge``);
-    * **histograms** — cumulative-bucket distributions (``observe``).
+    """Holds every histogram recorded by this process, and renders
+    them beside the counters and gauges a scraper derives from their
+    owners.
 
     Help strings registered via :meth:`describe` become ``# HELP``
     lines in the Prometheus rendering; undescribed metrics still
     render (with a generic help line).
     """
 
-    __slots__ = ("counters", "gauges", "histograms", "help")
+    __slots__ = ("histograms", "help")
 
     def __init__(self):
-        self.counters: Dict[str, Dict[_LabelKey, float]] = {}
-        self.gauges: Dict[str, Dict[_LabelKey, float]] = {}
         self.histograms: Dict[str, Dict[_LabelKey, _Histogram]] = {}
         self.help: Dict[str, str] = {}
 
     # -- recording ------------------------------------------------------
     def describe(self, name: str, help_text: str) -> None:
         self.help[name] = help_text
-
-    def inc(self, name: str, by: float = 1, **labels: str) -> None:
-        series = self.counters.setdefault(name, {})
-        key = _label_key(labels)
-        series[key] = series.get(key, 0) + by
-
-    def set_gauge(self, name: str, value: float, **labels: str) -> None:
-        self.gauges.setdefault(name, {})[_label_key(labels)] = value
 
     def observe(self, name: str, value: float,
                 buckets: Optional[Tuple[float, ...]] = None,
@@ -126,7 +131,8 @@ class MetricsRegistry:
         hist.observe(value)
 
     # -- export ---------------------------------------------------------
-    def snapshot(self) -> Dict:
+    def snapshot(self, counters: Optional[Mapping[str, Derived]] = None,
+                 gauges: Optional[Mapping[str, Derived]] = None) -> Dict:
         """A plain-JSON view of every series (labels as a dict)."""
         def expand(series):
             return [{"labels": dict(key), "value": value}
@@ -134,9 +140,9 @@ class MetricsRegistry:
 
         return {
             "counters": {n: expand(s)
-                         for n, s in sorted(self.counters.items())},
+                         for n, s in sorted(_series(counters).items())},
             "gauges": {n: expand(s)
-                       for n, s in sorted(self.gauges.items())},
+                       for n, s in sorted(_series(gauges).items())},
             "histograms": {
                 n: [{"labels": dict(key),
                      "sum": h.sum, "count": h.count,
@@ -148,7 +154,9 @@ class MetricsRegistry:
             },
         }
 
-    def render_prometheus(self) -> str:
+    def render_prometheus(
+            self, counters: Optional[Mapping[str, Derived]] = None,
+            gauges: Optional[Mapping[str, Derived]] = None) -> str:
         """The Prometheus text exposition format (version 0.0.4)."""
         out: List[str] = []
 
@@ -158,14 +166,12 @@ class MetricsRegistry:
             out.append(f"# HELP {name} {help_text}")
             out.append(f"# TYPE {name} {kind}")
 
-        for name, series in sorted(self.counters.items()):
-            emit_head(name, "counter")
-            for key, value in sorted(series.items()):
-                out.append(f"{name}{_fmt_labels(key)} {_fmt_value(value)}")
-        for name, series in sorted(self.gauges.items()):
-            emit_head(name, "gauge")
-            for key, value in sorted(series.items()):
-                out.append(f"{name}{_fmt_labels(key)} {_fmt_value(value)}")
+        for kind, derived in (("counter", counters), ("gauge", gauges)):
+            for name, series in sorted(_series(derived).items()):
+                emit_head(name, kind)
+                for key, value in sorted(series.items()):
+                    out.append(f"{name}{_fmt_labels(key)} "
+                               f"{_fmt_value(value)}")
         for name, series in sorted(self.histograms.items()):
             emit_head(name, "histogram")
             for key, hist in sorted(series.items()):
@@ -212,7 +218,7 @@ _REGISTRY = MetricsRegistry()
 
 def registry() -> MetricsRegistry:
     """The process-wide registry (always available; recording into it
-    directly bypasses the enabled gate — use the module helpers)."""
+    directly bypasses the enabled gate — use :func:`observe`)."""
     return _REGISTRY
 
 
@@ -221,7 +227,7 @@ def enabled() -> bool:
 
 
 def enable() -> None:
-    """Turn on metric recording for this process."""
+    """Turn on histogram recording for this process."""
     global _ENABLED
     _ENABLED = True
 
@@ -233,23 +239,7 @@ def disable() -> None:
 
 def reset() -> None:
     """Drop every recorded series (tests; help strings survive)."""
-    _REGISTRY.counters.clear()
-    _REGISTRY.gauges.clear()
     _REGISTRY.histograms.clear()
-
-
-def inc(name: str, by: float = 1, **labels: str) -> None:
-    """Bump a counter; free when metrics are disabled."""
-    if not _ENABLED:
-        return
-    _REGISTRY.inc(name, by, **labels)
-
-
-def set_gauge(name: str, value: float, **labels: str) -> None:
-    """Set a gauge; free when metrics are disabled."""
-    if not _ENABLED:
-        return
-    _REGISTRY.set_gauge(name, value, **labels)
 
 
 def observe(name: str, value: float, **labels: str) -> None:
@@ -259,16 +249,19 @@ def observe(name: str, value: float, **labels: str) -> None:
     _REGISTRY.observe(name, value, **labels)
 
 
-def render_prometheus() -> str:
-    return _REGISTRY.render_prometheus()
+def render_prometheus(counters: Optional[Mapping[str, Derived]] = None,
+                      gauges: Optional[Mapping[str, Derived]] = None
+                      ) -> str:
+    return _REGISTRY.render_prometheus(counters, gauges)
 
 
-def snapshot() -> Dict:
-    return _REGISTRY.snapshot()
+def snapshot(counters: Optional[Mapping[str, Derived]] = None,
+             gauges: Optional[Mapping[str, Derived]] = None) -> Dict:
+    return _REGISTRY.snapshot(counters, gauges)
 
 
-# Help strings for everything the platform records, registered up front
-# so the first scrape already carries them.
+# Help strings for everything ``/v1/metrics`` serves, registered up
+# front so the first scrape already carries them.
 for _name, _help in (
     ("repro_evaluations_total",
      "Engine evaluations recorded, by outcome status"),
@@ -279,7 +272,7 @@ for _name, _help in (
     ("repro_eval_wall_seconds",
      "Wall time per engine evaluation round-trip"),
     ("repro_evals_per_sec",
-     "Most recent evaluation throughput (per batch or per daemon job)"),
+     "Evaluation throughput of the newest finished daemon job"),
     ("repro_batch_groups_total",
      "Prefix-sharing evaluation groups dispatched"),
     ("repro_batch_group_size",
@@ -291,9 +284,11 @@ for _name, _help in (
     ("repro_batch_walk_hits_total",
      "Batched timings answered by a shared steady-state walk"),
     ("repro_pass_wall_seconds",
-     "Wall time per FKO pipeline pass, labeled by pass name"),
+     "Wall time per FKO pipeline pass, labeled by pass name "
+     "(compiles in this process only; pool workers keep their own)"),
     ("repro_tile_wall_seconds",
-     "Wall time in the HIL tiling layer (nest discovery / apply)"),
+     "Wall time in the HIL tiling layer (nest discovery / apply; "
+     "this process only, pool workers keep their own)"),
     ("repro_requests_total",
      "Daemon tune submissions, by disposition (new/coalesced/cached)"),
     ("repro_client_requests_total",

@@ -32,7 +32,7 @@ _PID = 1
 _ENGINE_TID = 0
 
 #: event kinds rendered as zero-duration instants on the job's track
-_INSTANT = {"cache-hit", "round", "curve", "phase", "job-resumed",
+_INSTANT = {"cache-hit", "round", "phase", "job-resumed",
             "pool-broken"}
 
 

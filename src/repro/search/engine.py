@@ -420,20 +420,6 @@ class _Evaluator:
                 out.append(idxs)
         return out
 
-    _BATCH_KEYS = (("batch_prefix_hits", "repro_batch_prefix_hits_total"),
-                   ("batch_prefix_misses", "repro_batch_prefix_misses_total"),
-                   ("batch_walk_hits", "repro_batch_walk_hits_total"))
-
-    def _charge_batch(self, deltas: Dict[str, int]) -> None:
-        """Fold one ``_eval_group``'s cache-reuse counter deltas into
-        the session stats and the metrics registry."""
-        stats = self.session.stats
-        for key, metric in self._BATCH_KEYS:
-            v = deltas[key]
-            if v:
-                setattr(stats, key, getattr(stats, key) + v)
-                _metrics.inc(metric, v)
-
     def many(self, batch: List[TransformParams],
              groups: Optional[List[List[TransformParams]]] = None
              ) -> List[float]:
@@ -448,7 +434,6 @@ class _Evaluator:
             if hit is not None:
                 cycles[i] = hit
                 session.stats.cache_hits += 1
-                _metrics.inc("repro_eval_cache_hits_total")
                 session.emit("cache-hit", job=self.job, phase=self._phase(),
                              params=params.describe(), cycles=hit, wall=0.0)
             else:
@@ -459,7 +444,6 @@ class _Evaluator:
             session.stats.batch_groups += len(run_groups)
             session.stats.batch_size_total += len(to_run)
             if _metrics._ENABLED:
-                _metrics.inc("repro_batch_groups_total", len(run_groups))
                 for idxs in run_groups:
                     _metrics.observe("repro_batch_group_size", len(idxs))
 
@@ -484,7 +468,7 @@ class _Evaluator:
                                    [batch[i] for i in run_groups[0]])]
         outcomes: Dict[int, Dict] = {}
         for idxs, (group_outcomes, deltas) in zip(run_groups, replies):
-            self._charge_batch(deltas)
+            session.stats.merge(deltas)
             outcomes.update(zip(idxs, group_outcomes))
 
         # record strictly in ask order, whoever computed the numbers —
@@ -506,14 +490,8 @@ class _Evaluator:
         else:
             session.stats.slow_path += 1
         if _metrics._ENABLED:
-            # recorded parent-side (whichever process computed the
-            # outcome), so engine metrics are complete under fan-out
-            _metrics.inc("repro_evaluations_total",
-                         status=("fault" if status.startswith("fault")
-                                 else status))
-            if status == "ok":
-                _metrics.inc("repro_eval_path_total",
-                             path="fast" if outcome.get("fast") else "slow")
+            # observed parent-side (whichever process computed the
+            # outcome), so the histogram is complete under fan-out
             _metrics.observe("repro_eval_wall_seconds",
                              float(outcome.get("wall") or 0.0))
         # only completed measurements are worth remembering
@@ -718,20 +696,17 @@ class TuningSession:
                       if config.batch_size > 1 else None)
             cycles = evaluator.many(batch, groups=groups)
             searcher.tell(list(zip(batch, cycles)))
-            # convergence telemetry: one best-so-far sample per tell.
-            # Emitted off-path (nothing in the search reads it) and with
-            # deterministic fields only, so jobs=1 vs jobs=N traces stay
-            # bit-identical
+            # convergence telemetry: one round event (a best-so-far
+            # sample) per tell.  Emitted off-path (nothing in the search
+            # reads it) and with deterministic fields only, so jobs=1 vs
+            # jobs=N traces stay bit-identical
             best_now = searcher.best_cycles
-            self.emit("curve", job=evaluator.job, strategy=searcher.name,
+            self.emit("round", job=evaluator.job, strategy=searcher.name,
                       seed=config.seed, round=searcher.rounds,
+                      phase=searcher.phase,
                       evaluations=searcher.n_evaluations,
                       best_cycles=best_now, improved=best_now < best_prev)
             best_prev = min(best_prev, best_now)
-            self.emit("round", job=evaluator.job, strategy=searcher.name,
-                      round=searcher.rounds, phase=searcher.phase,
-                      evaluations=searcher.n_evaluations,
-                      best_cycles=searcher.best_cycles)
         result = searcher.result()
 
         compiled = fko.compile(spec.hil, result.best_params,
@@ -859,8 +834,6 @@ class TuningSession:
 
         wall = time.perf_counter() - t0
         stats = self.stats
-        _metrics.set_gauge("repro_evals_per_sec",
-                           round(stats.throughput(wall), 2), scope="batch")
         self.emit("batch-end", completed=len(results), errors=len(errors),
                   wall=wall, evaluations=stats.evaluations,
                   cache_hits=stats.cache_hits,

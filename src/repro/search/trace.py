@@ -7,9 +7,11 @@ wall time went, whether a warm-cache rerun really re-evaluated nothing.
 ELAPS (Peise & Bientinesi) treats performance experiments as jobs with
 recorded measurement traces; this is that idea for the ifko search.
 
-Event schema v2 (all events share ``t`` — POSIX timestamp — and
-``event``; v2 adds the ``pass`` and ``attribution`` kinds, emitted only
-when the session observes with ``TuneConfig(observe=True)``):
+Event schema v3 (all events share ``t`` — POSIX timestamp — and
+``event``; v2 added the ``pass`` and ``attribution`` kinds, emitted only
+when the session observes with ``TuneConfig(observe=True)``; v3 folds
+the per-tell ``curve`` event into ``round``, which gains its ``seed``
+and ``improved`` fields):
 
 ========== =========================================================
 event      extra fields
@@ -33,14 +35,13 @@ attribution  job, phase, params, total, compute, memory_stall,
              cycle decomposition for the eval just recorded
 cache-hit    job, phase, params, cycles, wall (0.0)
 phase        job, phase, cycles (best so far entering the phase)
-round        job, strategy, round (ask/tell cycle — a line-search
-             phase batch, a surrogate model round, a GA generation),
-             phase, evaluations (budget charged so far), best_cycles
-curve        job, strategy, seed, round, evaluations, best_cycles,
-             improved — one best-so-far convergence sample per tell
-             (the anytime-performance curve behind ``repro curves``);
-             off-path: nothing in the search reads it, and its fields
-             are deterministic, so jobs=1 and jobs=N traces carry
+round        job, strategy, seed, round (ask/tell cycle — a
+             line-search phase batch, a surrogate model round, a GA
+             generation), phase, evaluations (budget charged so far),
+             best_cycles, improved — one per tell, the best-so-far
+             convergence sample behind ``repro curves``; off-path:
+             nothing in the search reads it, and its fields are
+             deterministic, so jobs=1 and jobs=N traces carry
              identical curves
 best-rejected  job, params, best_cycles, error — the search's winning
              kernel failed the tester (``TuneConfig.run_tester``); the
@@ -71,7 +72,7 @@ import time
 from collections import Counter
 from typing import Dict, List, Optional
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 
 def _sanitize(value):

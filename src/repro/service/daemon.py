@@ -23,8 +23,10 @@ GET      /v1/results                 completed TuneResponses, newest
                                      first (result store + resident)
 GET      /v1/stats                   dedup/cache counters, engine
                                      stats, evaluation budget, config
-GET      /v1/metrics                 process metrics registry in the
-                                     Prometheus text exposition format
+GET      /v1/metrics                 Prometheus text exposition:
+                                     counters and gauges read from
+                                     their owners at scrape time, the
+                                     process's recorded histograms
                                      (``?format=json`` for the JSON
                                      snapshot)
 GET      /v1/healthz                 {ok, version}
@@ -131,9 +133,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
             if url.path == "/v1/stats":
                 return self._json(200, self.manager.stats_dict())
             if url.path == "/v1/metrics":
+                counters, gauges = self.manager.metric_series()
                 if _arg(query, "format") == "json":
-                    return self._json(200, _metrics.snapshot())
-                return self._text(200, _metrics.render_prometheus())
+                    return self._json(200, _metrics.snapshot(counters,
+                                                             gauges))
+                return self._text(200, _metrics.render_prometheus(
+                    counters, gauges))
             if url.path == "/v1/results":
                 limit = _int_arg(query, "limit")
                 return self._json(200, {"results":
@@ -267,17 +272,15 @@ def start_server(host: str = "127.0.0.1", port: int = 0,
                  manager: Optional[JobManager] = None,
                  autostart: bool = True,
                  verbose: bool = False,
-                 max_total_evals: Optional[int] = None,
-                 metrics: bool = True) -> ServerHandle:
+                 max_total_evals: Optional[int] = None) -> ServerHandle:
     """Boot a daemon on ``host:port`` (``port=0`` picks a free one) and
     return a handle; the HTTP loop runs in a background thread.  With
     ``autostart=False`` the dispatcher is not started — submissions
     queue until ``handle.manager.start()`` (tests use this to stage
-    deterministic concurrency).  ``metrics=True`` (the default: a
-    serving process is the primary scrape target) enables the
-    process-wide registry behind ``GET /v1/metrics``."""
-    if metrics:
-        _metrics.enable()
+    deterministic concurrency).  A serving process is the primary
+    scrape target, so it turns on the process's histogram recording
+    behind ``GET /v1/metrics``."""
+    _metrics.enable()
     if manager is None:
         manager = JobManager(config=config, results_dir=results_dir,
                              max_total_evals=max_total_evals)
@@ -296,15 +299,13 @@ def serve(host: str = "127.0.0.1", port: int = 8642,
           config: Optional[TuneConfig] = None,
           results_dir: Optional[str] = None,
           verbose: bool = False,
-          max_total_evals: Optional[int] = None,
-          metrics: bool = True) -> int:
+          max_total_evals: Optional[int] = None) -> int:
     """Blocking entry point behind ``repro serve``: boot, print the
     URL, run until interrupted, tear down cleanly (session pool shut
     down, trace file closed) on the way out."""
     handle = start_server(host=host, port=port, config=config,
                           results_dir=results_dir, verbose=verbose,
-                          max_total_evals=max_total_evals,
-                          metrics=metrics)
+                          max_total_evals=max_total_evals)
     print(f"# repro serve: listening on {handle.url} "
           f"(jobs={handle.manager.config.jobs}, "
           f"cache={handle.manager.config.cache_dir or 'off'}, "

@@ -32,14 +32,13 @@ import copy
 import hashlib
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..fko import FKO, TransformParams
 from ..kernels import get_kernel
 from ..machine import Context, get_machine
-from ..obs import metrics as _metrics
 from ..records import RecordStore, read_json
 from ..search.config import TuneConfig
 from ..search.engine import TuningSession
@@ -185,17 +184,32 @@ class JobManager:
         self._stop = False
         self._seq = 0
         self.started_at = time.time()
-        # transport-level counters (engine counters live on the session)
-        self.submitted = 0        # every POST /v1/tune
+        # transport-level counters (engine counters live on the session);
+        # each is the one count of its fact that /v1/metrics reads
+        self.clients: Counter = Counter()    # every POST /v1/tune
+        self.requests: Counter = Counter()   # by how: new|coalesced|cached
         self.launched = 0         # jobs that actually ran the engine
-        self.coalesced = 0        # joined an identical in-flight job
-        self.cache_answers = 0    # served from store/memory, no run
         self.completed = 0
         self.errors = 0
+        self._newest_run: Optional[TuneResponse] = None
         # /v1/compile counter (compiles use a fresh FKO each — see
         # compile_info — so there is no shared front-end to guard)
         self._compile_lock = threading.Lock()
         self.compiles = 0
+
+    @property
+    def submitted(self) -> int:
+        return sum(self.clients.values())
+
+    @property
+    def coalesced(self) -> int:
+        """Submissions that joined an identical in-flight job."""
+        return self.requests["coalesced"]
+
+    @property
+    def cache_answers(self) -> int:
+        """Submissions served from the store or memory, no engine run."""
+        return self.requests["cached"]
 
     # -- submission -----------------------------------------------------
     def submit(self, request: TuneRequest,
@@ -206,25 +220,19 @@ class JobManager:
         the result store or a resident completed job — no engine run).
         """
         with self.cond:
-            self.submitted += 1
-            if _metrics._ENABLED:
-                _metrics.inc("repro_client_requests_total",
-                             client=client or "anonymous")
+            self.clients[client or "anonymous"] += 1
             digest = request.digest()
             # identical request already in flight -> same job
             slot = self._inflight.get(digest)
             if slot is not None:
-                self.coalesced += 1
-                _metrics.inc("repro_requests_total", how="coalesced")
-                self._set_queue_gauges()
+                self.requests["coalesced"] += 1
                 return slot, "coalesced"
             # already answered and still resident?
             done_id = self._done_by_digest.get(digest)
             if done_id is not None:
                 job = self.jobs.get(done_id)
                 if job is not None and job.state == DONE:
-                    self.cache_answers += 1
-                    _metrics.inc("repro_requests_total", how="cached")
+                    self.requests["cached"] += 1
                     return job, "cached"
             # persisted by an earlier run (or another daemon)?
             if self.store is not None:
@@ -237,8 +245,7 @@ class JobManager:
                     job.state = DONE
                     job.finished = time.time()
                     self._done_by_digest[digest] = job.id
-                    self.cache_answers += 1
-                    _metrics.inc("repro_requests_total", how="cached")
+                    self.requests["cached"] += 1
                     self.cond.notify_all()
                     return job, "cached"
             # fresh work: claim the digest and queue fairly
@@ -252,23 +259,9 @@ class JobManager:
             job = self._admit(request)
             self._inflight[digest] = job
             self._queue.push(job, client=client)
-            _metrics.inc("repro_requests_total", how="new")
-            self._set_queue_gauges()
+            self.requests["new"] += 1
             self.cond.notify_all()
             return job, "new"
-
-    def _set_queue_gauges(self) -> None:
-        """Refresh the daemon's live gauges (queue depth, in-flight
-        map, budget remaining).  Called with the lock held at every
-        queue transition; free when metrics are disabled."""
-        if not _metrics._ENABLED:
-            return
-        _metrics.set_gauge("repro_queue_depth", len(self._queue))
-        _metrics.set_gauge("repro_inflight", len(self._inflight))
-        remaining = (-1 if self.max_total_evals is None
-                     else max(0, self.max_total_evals
-                              - self.session.stats.evaluations))
-        _metrics.set_gauge("repro_budget_remaining_evals", remaining)
 
     def _admit(self, request: TuneRequest) -> ServeJob:
         self._seq += 1
@@ -314,19 +307,15 @@ class JobManager:
             tuned = self.session.tune(request.kernel, request.machine,
                                       Context(request.context), request.n,
                                       max_evals=request.budget)
-            delta = {k: v - before.get(k, 0)
-                     for k, v in stats.to_dict().items()}
             response = TuneResponse(
                 digest=job.digest, job_id=job.id, status=DONE,
                 result=tuned.to_dict(),
-                history_digest=history_digest(tuned.search),
-                stats=delta, wall=time.perf_counter() - t0)
+                history_digest=history_digest(tuned.search))
             response._kernel = tuned
         except Exception as exc:   # noqa: BLE001 — report, client decides
             response = TuneResponse(
                 digest=job.digest, job_id=job.id, status=ERROR,
-                error=f"{type(exc).__name__}: {exc}",
-                wall=time.perf_counter() - t0)
+                error=f"{type(exc).__name__}: {exc}")
         finally:
             self.session.config = base
             # events already live on the job via the listener; drain
@@ -338,27 +327,23 @@ class JobManager:
                     job.state = ERROR
                     job.error = "interrupted"
                 else:
+                    # an errored job has spent its evaluations too
+                    response.wall = time.perf_counter() - t0
+                    response.stats = {k: v - before.get(k, 0)
+                                      for k, v in stats.to_dict().items()}
                     job.response = response
                     job.state = response.status
                     job.error = response.error
-                    delta = response.stats
                     if response.ok:
                         self.completed += 1
-                        _metrics.inc("repro_jobs_completed_total")
-                        if _metrics._ENABLED and response.wall:
-                            _metrics.set_gauge(
-                                "repro_evals_per_sec",
-                                round(delta.get("evaluations", 0)
-                                      / response.wall, 2), scope="job")
+                        self._newest_run = response
                         self._done_by_digest[job.digest] = job.id
                         if self.store is not None:
                             self.store.put(job.digest, response)
                     else:
                         self.errors += 1
-                        _metrics.inc("repro_jobs_errored_total")
                 job.finished = time.time()
                 self._inflight.pop(job.digest, None)
-                self._set_queue_gauges()
                 self.cond.notify_all()
 
     def _on_event(self, record: Dict) -> None:
@@ -482,7 +467,6 @@ class JobManager:
         text = canonical_function_text(compiled.fn)
         with self._compile_lock:
             self.compiles += 1
-        _metrics.inc("repro_compiles_total")
         return {"kernel": spec.name, "machine": mach.name.lower(),
                 "applied": list(compiled.applied),
                 "ir_digest": hashlib.sha256(text.encode()).hexdigest()}
@@ -505,22 +489,51 @@ class JobManager:
                     "stored_results": (len(self.store)
                                        if self.store is not None else 0),
                     "engine": engine,
-                    "batch": {
-                        "batch.prefix_hits":
-                            engine.get("batch_prefix_hits", 0),
-                        "batch.prefix_misses":
-                            engine.get("batch_prefix_misses", 0),
-                        "batch.walk_hits":
-                            engine.get("batch_walk_hits", 0),
-                        "batch.size": (
-                            engine.get("batch_size_total", 0)
-                            / engine["batch_groups"]
-                            if engine.get("batch_groups") else 0.0)},
                     "budget": {
                         "total_evaluations": engine["evaluations"],
                         "total_cache_hits": engine["cache_hits"],
                         "max_total_evals": self.max_total_evals},
                     "config": self.config.to_public_dict()}
+
+    def metric_series(self) -> Tuple[Dict, Dict]:
+        """The counters and gauges ``GET /v1/metrics`` serves, read from
+        their owners at scrape time: the engine's from the session's
+        :class:`EngineStats`, the transport's from this manager, its
+        queue and its in-flight map.  Returns ``(counters, gauges)`` in
+        :func:`repro.obs.metrics.render_prometheus`'s derived form."""
+        with self.cond:
+            s = self.session.stats
+            # ok = fast + slow (= evaluations - faults): a sum of two
+            # monotonic counts stays monotonic while the engine thread
+            # is mid-update, a difference need not
+            counters = {
+                "repro_evaluations_total":
+                    ("status", {"ok": s.fast_path + s.slow_path,
+                                "fault": s.faults}),
+                "repro_eval_path_total":
+                    ("path", {"fast": s.fast_path, "slow": s.slow_path}),
+                "repro_eval_cache_hits_total": s.cache_hits,
+                "repro_batch_groups_total": s.batch_groups,
+                "repro_batch_prefix_hits_total": s.batch_prefix_hits,
+                "repro_batch_prefix_misses_total": s.batch_prefix_misses,
+                "repro_batch_walk_hits_total": s.batch_walk_hits,
+                "repro_requests_total": ("how", dict(self.requests)),
+                "repro_client_requests_total":
+                    ("client", dict(self.clients)),
+                "repro_jobs_completed_total": self.completed,
+                "repro_jobs_errored_total": self.errors,
+                "repro_compiles_total": self.compiles}
+            gauges = {
+                "repro_queue_depth": len(self._queue),
+                "repro_inflight": len(self._inflight),
+                "repro_budget_remaining_evals": (
+                    -1 if self.max_total_evals is None
+                    else max(0, self.max_total_evals - s.evaluations))}
+            run = self._newest_run
+            if run is not None and run.wall:
+                gauges["repro_evals_per_sec"] = ("scope", {"job": round(
+                    run.stats.get("evaluations", 0) / run.wall, 2)})
+            return counters, gauges
 
     def results(self, limit: Optional[int] = None) -> List[Dict]:
         """Completed responses, newest first — persisted ones from the

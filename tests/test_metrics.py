@@ -1,10 +1,11 @@
 """Tests for the live-metrics + convergence-telemetry layer.
 
-Covers the PR's contract surface:
+Covers the contract surface:
 
-* the metrics registry: labeled counters/gauges/histograms, inert when
-  disabled (same contract as the obs collector), reset semantics, and
-  a valid Prometheus text exposition;
+* the metrics registry: labeled histograms, inert when disabled (same
+  contract as the obs collector), reset semantics, and a valid
+  Prometheus text exposition of them beside the counters and gauges
+  the job manager reads from their owners;
 * the instrumented engine/daemon: a tuning run populates the expected
   series, and metrics are provably non-perturbing — history digests at
   jobs=1 and jobs=4 are bit-identical with the registry on or off;
@@ -14,7 +15,7 @@ Covers the PR's contract surface:
   tiled trace stays balanced;
 * streaming traces: ``TraceStream`` yields what ``read_trace``
   materializes, counts malformed lines, and is multi-pass safe;
-* anytime curves: per-(job, strategy) collection from curve events and
+* anytime curves: per-(job, strategy) collection from round events and
   derived eval steps, cross-job aggregation, CLI artifacts;
 * ``repro perf diff``: metric classification, deterministic gating,
   and the CLI exiting nonzero on an injected regression;
@@ -42,6 +43,7 @@ from repro.obs import metrics as m
 from repro.obs.perfdiff import classify_metric, flatten_numeric
 from repro.search import (TraceStream, TuneConfig, TuningSession,
                           read_trace, summarize_trace)
+from repro.service import JobManager, TuneRequest
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TILE_FIXTURE = GOLDEN / "tile_trace_fixture.jsonl"
@@ -66,6 +68,12 @@ def _config(**kw):
     return TuneConfig(**kw)
 
 
+def _request(**kw):
+    kw.setdefault("kernel", "ddot")
+    kw.setdefault("test", False)
+    return TuneRequest(n=N, budget=EVALS, **kw)
+
+
 def _get(entries, **labels):
     """The snapshot entry of one labeled series."""
     for e in entries:
@@ -80,28 +88,38 @@ def _get(entries, **labels):
 class TestMetricsRegistry:
     def test_inert_when_disabled(self):
         assert not m.enabled()
-        m.inc("repro_evaluations_total", status="ok")
-        m.set_gauge("repro_queue_depth", 9)
         m.observe("repro_eval_wall_seconds", 0.5)
         snap = m.snapshot()
         assert not snap["counters"] and not snap["gauges"] \
             and not snap["histograms"]
 
     def test_counters_accumulate_per_label_set(self):
-        m.enable()
-        m.inc("repro_evaluations_total", status="ok")
-        m.inc("repro_evaluations_total", 2, status="ok")
-        m.inc("repro_evaluations_total", status="timeout")
-        series = m.snapshot()["counters"]["repro_evaluations_total"]
-        assert _get(series, status="ok")["value"] == 3
-        assert _get(series, status="timeout")["value"] == 1
+        with JobManager(config=_config()) as manager:
+            request = _request()
+            manager.submit(request, client="a")
+            manager.submit(request, client="a")
+            manager.submit(request, client="b")
+            snap = m.snapshot(*manager.metric_series())
+        requests = snap["counters"]["repro_requests_total"]
+        assert _get(requests, how="new")["value"] == 1
+        assert _get(requests, how="coalesced")["value"] == 2
+        clients = snap["counters"]["repro_client_requests_total"]
+        assert _get(clients, client="a")["value"] == 2
+        assert _get(clients, client="b")["value"] == 1
 
     def test_gauge_overwrites(self):
-        m.enable()
-        m.set_gauge("repro_queue_depth", 4)
-        m.set_gauge("repro_queue_depth", 1)
-        series = m.snapshot()["gauges"]["repro_queue_depth"]
-        assert _get(series)["value"] == 1
+        with JobManager(config=_config()) as manager:
+            job, _ = manager.submit(_request())
+            queued = m.snapshot(*manager.metric_series())["gauges"]
+            manager.drain(until=job)
+            drained = m.snapshot(*manager.metric_series())["gauges"]
+        assert _get(queued["repro_queue_depth"])["value"] == 1
+        assert _get(queued["repro_inflight"])["value"] == 1
+        assert "repro_evals_per_sec" not in queued
+        assert _get(drained["repro_queue_depth"])["value"] == 0
+        assert _get(drained["repro_inflight"])["value"] == 0
+        assert _get(drained["repro_evals_per_sec"],
+                    scope="job")["value"] > 0
 
     def test_histogram_sum_count_and_cumulative_buckets(self):
         m.enable()
@@ -128,79 +146,80 @@ class TestMetricsRegistry:
         assert hist["buckets"][-1] == {"le": "+Inf", "n": 3}
 
     def test_prometheus_text_shape(self):
-        m.enable()
-        m.inc("repro_requests_total", how="new")
-        text = m.render_prometheus()
+        text = m.render_prometheus(
+            counters={"repro_requests_total": ("how", {"new": 1})},
+            gauges={"repro_queue_depth": 0})
         assert "# HELP repro_requests_total" in text
         assert "# TYPE repro_requests_total counter" in text
+        assert "# TYPE repro_queue_depth gauge" in text
         # integral values render without a trailing .0
         assert 'repro_requests_total{how="new"} 1\n' in text
+        assert "repro_queue_depth 0\n" in text
 
     def test_label_value_escaping(self):
-        m.enable()
-        m.inc("repro_client_requests_total", client='a"b\\c\nd')
-        text = m.render_prometheus()
+        text = m.render_prometheus(counters={
+            "repro_client_requests_total": ("client", {'a"b\\c\nd': 1})})
         assert 'client="a\\"b\\\\c\\nd"' in text
 
     def test_reset_clears_series_keeps_registration(self):
         m.enable()
-        m.inc("repro_compiles_total")
+        m.observe("repro_tile_wall_seconds", 0.1, stage="apply")
         m.reset()
         assert m.enabled()   # reset does not flip the enable switch
-        assert "repro_compiles_total" not in m.snapshot()["counters"]
+        assert "repro_tile_wall_seconds" not in m.snapshot()["histograms"]
         # the described help text survives a reset
-        m.inc("repro_compiles_total")
-        assert "# HELP repro_compiles_total Daemon one-shot" \
+        m.observe("repro_tile_wall_seconds", 0.1, stage="apply")
+        assert "# HELP repro_tile_wall_seconds Wall time in the HIL" \
             in m.render_prometheus()
 
     def test_snapshot_is_json_serializable(self):
         m.enable()
         m.observe("repro_batch_group_size", 4)
-        m.set_gauge("repro_evals_per_sec", 123.4, scope="batch")
-        json.dumps(m.snapshot())
+        json.dumps(m.snapshot(
+            counters={"repro_evaluations_total": ("status", {"ok": 3})},
+            gauges={"repro_evals_per_sec": ("scope", {"job": 123.4})}))
 
 
 # ---------------------------------------------------------------------------
-# engine instrumentation
+# engine counters, read from the session's EngineStats at scrape time
+
+def _served(manager, request):
+    """Run ``request`` through ``manager``; its scraped snapshot."""
+    assert manager.run_inline(request).ok
+    return m.snapshot(*manager.metric_series())
+
 
 class TestEngineMetrics:
     def test_tune_populates_series(self):
         m.enable()
-        with TuningSession(_config()) as s:
-            s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
-        snap = m.snapshot()
+        with JobManager(config=_config()) as manager:
+            snap = _served(manager, _request())
+            stats = manager.session.stats
         evals = _get(snap["counters"]["repro_evaluations_total"],
                      status="ok")
-        assert evals["value"] > 0
-        assert snap["counters"]["repro_eval_path_total"]
+        assert evals["value"] == stats.evaluations > 0
+        paths = snap["counters"]["repro_eval_path_total"]
+        assert (_get(paths, path="fast")["value"]
+                + _get(paths, path="slow")["value"]) == stats.evaluations
         wall = _get(snap["histograms"]["repro_eval_wall_seconds"])
-        assert wall["count"] > 0 and wall["sum"] > 0
-
-    def test_batch_run_sets_throughput_gauge(self):
-        from repro.search.engine import TuningJob
-        m.enable()
-        with TuningSession(_config()) as s:
-            s.run([TuningJob("ddot", "p4e", Context.OUT_OF_CACHE, N)])
-        snap = m.snapshot()
-        assert _get(snap["gauges"]["repro_evals_per_sec"],
-                    scope="batch")["value"] > 0
+        assert wall["count"] == stats.evaluations and wall["sum"] > 0
 
     def test_batched_tune_populates_group_series(self):
         m.enable()
-        with TuningSession(_config(batch_size=8)) as s:
-            s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
-        snap = m.snapshot()
-        assert _get(snap["counters"]["repro_batch_groups_total"])["value"] > 0
-        assert _get(snap["histograms"]["repro_batch_group_size"])["count"] > 0
+        with JobManager(config=_config(batch_size=8)) as manager:
+            snap = _served(manager, _request())
+            groups = manager.session.stats.batch_groups
+        assert _get(snap["counters"]["repro_batch_groups_total"]
+                    )["value"] == groups > 0
+        assert _get(snap["histograms"]["repro_batch_group_size"]
+                    )["count"] == groups
 
     def test_cache_hits_counted(self, tmp_path):
-        m.enable()
-        cache = str(tmp_path / "cache")
-        with TuningSession(_config(cache_dir=cache)) as s:
-            s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
-        with TuningSession(_config(cache_dir=cache)) as s:
-            s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
-        snap = m.snapshot()
+        config = _config(cache_dir=str(tmp_path / "cache"))
+        with JobManager(config=config) as manager:
+            _served(manager, _request())
+        with JobManager(config=config) as manager:
+            snap = _served(manager, _request())
         assert _get(snap["counters"]["repro_eval_cache_hits_total"]
                     )["value"] > 0
 
@@ -241,26 +260,31 @@ class TestMetricsNonPerturbation:
 
 
 # ---------------------------------------------------------------------------
-# curve events (schema v2 addition)
+# round events: one convergence sample per tell (schema v3)
 
-class TestCurveEvents:
-    def test_one_curve_event_per_round(self, tmp_path):
+class TestRoundEvents:
+    def test_one_round_event_per_tell(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with TuningSession(_config(trace=str(path))) as s:
-            s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
+            tuned = s.tune("ddot", "p4e", Context.OUT_OF_CACHE, N)
         events = read_trace(str(path))
-        curves = [e for e in events if e["event"] == "curve"]
+        assert not [e for e in events if e["event"] == "curve"]
         rounds = [e for e in events if e["event"] == "round"]
-        assert curves and len(curves) == len(rounds)
-        for c in curves:
-            assert c["strategy"] == "line" and c["seed"] == 0
-            assert isinstance(c["improved"], bool)
-            assert c["best_cycles"] > 0
-        # best-so-far is monotonically non-increasing
-        bests = [c["best_cycles"] for c in curves]
+        assert [r["round"] for r in rounds] == list(
+            range(1, len(rounds) + 1))
+        for r in rounds:
+            assert r["strategy"] == "line" and r["seed"] == 0
+            assert isinstance(r["improved"], bool) and r["phase"]
+            assert r["best_cycles"] > 0
+        assert rounds[0]["improved"]
+        # best-so-far is monotonically non-increasing, and improves
+        # exactly where a round says so
+        bests = [r["best_cycles"] for r in rounds]
         assert bests == sorted(bests, reverse=True)
+        assert [r["improved"] for r in rounds[1:]] == [
+            b < a for a, b in zip(bests, bests[1:])]
         # evaluations charged matches the searcher's accounting
-        assert curves[-1]["evaluations"] == rounds[-1]["evaluations"]
+        assert rounds[-1]["evaluations"] == tuned.search.n_evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -549,16 +573,64 @@ class TestServeMetrics:
         assert _get(snap["counters"]["repro_evaluations_total"],
                     status="ok")["value"] > 0
 
-    def test_metrics_flag_off_keeps_registry_dark(self):
-        from repro.service.daemon import start_server
-        with start_server(port=0, config=_config(),
-                          metrics=False) as handle:
-            assert not m.enabled()
-            text = urllib.request.urlopen(
-                handle.url + "/v1/metrics").read().decode()
-        # still a valid (empty) exposition: no samples recorded
-        assert not [l for l in text.splitlines()
-                    if l and not l.startswith("#")]
+    def test_counters_equal_their_stats_sources(self, monkeypatch):
+        """Every served counter and gauge is read from the count
+        ``/v1/stats`` reports, errored jobs and compiles included."""
+        import repro.search.engine as engine
+        from repro.errors import KernelTestFailure
+
+        def fail(*args, **kwargs):
+            raise KernelTestFailure("forced")
+        monkeypatch.setattr(engine, "test_kernel", fail)
+        with JobManager(config=_config(), max_total_evals=100) as manager:
+            manager.submit(_request(kernel="dscal"))
+            manager.submit(_request(kernel="dscal"))
+            assert not manager.run_inline(_request(test=True)).ok
+            manager.drain()
+            manager.compile_info("ddot", "p4e", {})
+            snap = m.snapshot(*manager.metric_series())
+            stats = manager.stats_dict()
+        counters, gauges = snap["counters"], snap["gauges"]
+        engine_stats = stats["engine"]
+        assert sum(e["value"] for e in counters["repro_evaluations_total"]
+                   ) == engine_stats["evaluations"] == 2 * EVALS
+        assert _get(counters["repro_requests_total"], how="coalesced"
+                    )["value"] == stats["deduped"] == 1
+        for name, key in (("repro_jobs_completed_total", "completed"),
+                          ("repro_jobs_errored_total", "errors"),
+                          ("repro_compiles_total", "compiles")):
+            assert _get(counters[name])["value"] == stats[key] == 1
+        assert sum(e["value"] for e in
+                   counters["repro_client_requests_total"]
+                   ) == stats["submitted"] == 3
+        assert _get(gauges["repro_budget_remaining_evals"])["value"] == (
+            100 - engine_stats["evaluations"])
+
+    def test_scraped_counters_stay_monotonic_mid_job(self):
+        """A scrape racing the engine thread never sees a counter go
+        backwards."""
+        import sys
+        import time
+        seen = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with JobManager(config=_config()) as manager:
+                manager.start()
+                job, _ = manager.submit(_request())
+                deadline = time.monotonic() + 120
+                while job.active and time.monotonic() < deadline:
+                    seen.append(m.snapshot(*manager.metric_series()))
+                assert manager.wait(job.id, timeout=120).ok
+        finally:
+            sys.setswitchinterval(old)
+        samples = [{(name, tuple(sorted(e["labels"].items()))): e["value"]
+                    for name, series in snap["counters"].items()
+                    for e in series} for snap in seen]
+        assert len(samples) > 1
+        for before, after in zip(samples, samples[1:]):
+            for key, value in before.items():
+                assert after[key] >= value, key
 
     def test_cli_metrics_command(self, capsys):
         from repro.client import ServeClient

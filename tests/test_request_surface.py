@@ -139,7 +139,8 @@ def test_every_field_has_a_flag():
 #: every engine flag spelling each subcommand accepted before the flags
 #: were generated (``--test-best`` aside: it was folded into the tester;
 #: ``--no-fast-timing``, ``--no-prefix-cache`` and ``--timeout`` aside:
-#: their knobs are deleted)
+#: their knobs are deleted; ``--no-metrics`` aside: a daemon always
+#: serves its metrics)
 PARENT_FLAGS = {
     "tune": ["-c oc", "--context ic", "--n 100", "--max-evals 5",
              "--strategy random", "--seed 3", "--warm-start D", "--jobs 2",
@@ -155,7 +156,7 @@ PARENT_FLAGS = {
                  "--serve-url U", "-m opteron", "--machine p4e"],
     "serve": ["--host 0.0.0.0", "--port 0", "--jobs 2", "-j 2",
               "--cache-dir D", "--results-dir D", "--trace-out F",
-              "--max-total-evals 9", "--no-metrics", "--verbose", "-v"],
+              "--max-total-evals 9", "--verbose", "-v"],
 }
 
 
@@ -164,6 +165,11 @@ def test_parent_flag_spellings_parse(command):
     head = ["tune", "ddot"] if command == "tune" else [command]
     for flag in PARENT_FLAGS[command]:
         build_parser().parse_args(head + flag.split())
+
+
+def test_no_metrics_flag_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "--no-metrics"])
 
 
 @pytest.mark.parametrize("head", [["tune", "ddot"], ["tune-all"]])
@@ -265,8 +271,7 @@ def test_engine_knobs_are_the_fields_without_a_wire_namesake():
 @pytest.fixture(scope="module")
 def daemon():
     from repro.service.daemon import start_server
-    with start_server(port=0, config=TuneConfig(run_tester=False),
-                      metrics=False) as handle:
+    with start_server(port=0, config=TuneConfig(run_tester=False)) as handle:
         yield handle
 
 

@@ -199,6 +199,32 @@ class TestSchedulerPrimitives:
             with pytest.raises(BudgetExhaustedError):
                 m.submit(_request(kernel="ddot"))
 
+    def test_pool_death_mid_request_matches_serial(self):
+        """A jobs=2 manager whose pool dies mid-request answers like a
+        jobs=1 manager, and its EngineStats — and so its scraped
+        evaluation counter — count each evaluation once."""
+        from repro.obs import metrics
+        from .test_batch import _DyingPool
+        request = _request(kernel="daxpy", machine="opteron", n=80000,
+                           strategy="genetic", seed=7, budget=10)
+        answers = []
+        for jobs in (1, 2):
+            with JobManager(config=_config(jobs=jobs, batch_size=6)) as m:
+                if jobs > 1:
+                    m.session._pool = _DyingPool()
+                response = m.run_inline(request)
+                events = list(m.events(response.job_id))
+                text = metrics.render_prometheus(*m.metric_series())
+            scraped = sum(float(line.rsplit(" ", 1)[1])
+                          for line in text.splitlines()
+                          if line.startswith("repro_evaluations_total{"))
+            assert response.ok and scraped == m.session.stats.evaluations
+            assert (any(e["event"] == "pool-broken" for e in events)
+                    == (jobs > 1))
+            answers.append((response.history_digest,
+                            m.session.stats.to_dict()))
+        assert answers[0] == answers[1]
+
     def test_scheduler_shutdown_idempotent(self):
         with TuningSession(_config(jobs=1)) as s:
             assert s.pool() is None          # serial: no pool to own
@@ -291,6 +317,7 @@ class TestJobManager:
             response = m.run_inline(_request(kernel="ddot", budget=12,
                                              test=True))
             assert not response.ok and "forced" in response.error
+            assert response.stats["evaluations"] == 12
             assert m.session.stats.evaluations == 12
             assert m.stats_dict()["budget"]["total_evaluations"] == 12
             with pytest.raises(BudgetExhaustedError):

@@ -584,12 +584,13 @@ class TestWarmStartLookup:
 
 class TestReportingRobustness:
     def test_curve_event_only_trace_aggregates(self):
+        """Per-tell curve samples (``round`` events) alone aggregate."""
         events = [
             {"event": "job-start", "job": "j", "strategy": "random",
              "seed": 0},
-            {"event": "curve", "job": "j", "evaluations": 4,
+            {"event": "round", "job": "j", "evaluations": 4,
              "best_cycles": 100.0},
-            {"event": "curve", "job": "j", "evaluations": 8,
+            {"event": "round", "job": "j", "evaluations": 8,
              "best_cycles": 80.0},
             {"event": "job-end", "job": "j"},
         ]
@@ -606,9 +607,9 @@ class TestReportingRobustness:
         events = [
             {"event": "job-start", "job": "j", "strategy": "anneal",
              "seed": 0},
-            {"event": "curve", "job": "j", "evaluations": 2,
+            {"event": "round", "job": "j", "evaluations": 2,
              "best_cycles": float("inf")},
-            {"event": "curve", "job": "j", "evaluations": 4,
+            {"event": "round", "job": "j", "evaluations": 4,
              "best_cycles": 50.0},
         ]
         curves = collect_curves(events)
