@@ -29,8 +29,9 @@ command line; this module provides the same ergonomics::
 tool works on user kernels exactly like the shipped ones.  All tuning
 runs through the batch engine (:mod:`repro.search.engine`): ``--jobs``
 fans evaluations/jobs across worker processes, ``--cache-dir`` persists
-the evaluation cache across runs, ``--resume`` checkpoints a batch, and
-``--trace-out`` records a JSONL search trace that ``repro trace``
+the evaluation cache across runs (rerunning a batch against the same
+``--cache-dir`` resumes it: every finished evaluation is a cache hit),
+and ``--trace-out`` records a JSONL search trace that ``repro trace``
 summarizes.
 
 Registry-kernel tuning goes through :mod:`repro.client` — the same
@@ -168,10 +169,8 @@ _FLAG_NAMES = {"jobs": ("--jobs", "-j"), "trace": ("--trace-out",),
 #: ``space`` and ``start`` and the library-only ``min_gain``
 _ENGINE_FLAGS = tuple(f.name for f in dataclasses.fields(TuneConfig)
                       if f.name not in ("space", "start", "min_gain"))
-#: ``tune`` checks registry kernels always and user sources never, and
-#: tunes one problem (nothing to checkpoint)
-_TUNE_FLAGS = tuple(n for n in _ENGINE_FLAGS
-                    if n not in ("run_tester", "resume"))
+#: ``tune`` checks registry kernels always and user sources never
+_TUNE_FLAGS = tuple(n for n in _ENGINE_FLAGS if n != "run_tester")
 
 
 def _flags(f: dataclasses.Field) -> Tuple[str, ...]:
@@ -346,7 +345,6 @@ def cmd_tune_all(args) -> int:
         batch = session.run(jobs)
 
     print(f"# tune-all: {len(batch.results)}/{len(jobs)} jobs "
-          f"({len(batch.resumed)} resumed from checkpoint) "
           f"in {batch.wall:.1f}s with jobs={args.jobs}")
     s = session.stats
     print(f"# evaluations: {s.evaluations} computed, {s.cache_hits} "

@@ -158,7 +158,7 @@ class TransformParams:
                 + (f" {tile_s}" if tile_s else "")
                 + (f" {pf}" if pf else ""))
 
-    # -- JSON round-trip (evaluation cache, checkpoints, traces) --------
+    # -- JSON round-trip (evaluation cache, result store, traces) -------
     def to_dict(self) -> Dict:
         out = {
             "schema": 1,

@@ -32,8 +32,7 @@ _PID = 1
 _ENGINE_TID = 0
 
 #: event kinds rendered as zero-duration instants on the job's track
-_INSTANT = {"cache-hit", "round", "phase", "job-resumed",
-            "pool-broken"}
+_INSTANT = {"cache-hit", "round", "phase", "pool-broken"}
 
 
 def _span(name: str, cat: str, start: float, end: Optional[float],

@@ -225,10 +225,7 @@ def render_report(events: List[Dict], title: Optional[str] = None) -> str:
         lines += ["## Results", ""]
         rows = []
         for key, j in summary["jobs"].items():
-            if j["status"] == "resumed":
-                rows.append([key, "-", "-", "0", str(j["cache_hits"]),
-                             "resumed from checkpoint"])
-            elif j["status"] == "error":
+            if j["status"] == "error":
                 rows.append([key, "-", "-", str(j["evaluations"]),
                              str(j["cache_hits"]),
                              f"ERROR: {j.get('error')}"])

@@ -1,8 +1,8 @@
 """The one on-disk record format: small JSON objects, written atomically.
 
 Every piece of state the package persists is a JSON object in a file:
-evaluation-cache entries, serve results, warm-start entries, experiment
-rows and batch checkpoints.  This module is the only code that touches
+evaluation-cache entries, serve results, warm-start entries and
+experiment rows.  This module is the only code that touches
 those files.  The stores on top of it are thin typed views that own
 their key function and their validation; none of them opens a file.
 

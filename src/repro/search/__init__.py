@@ -6,8 +6,8 @@
 (the first registered strategy); :mod:`~repro.search.engine` is the
 batch engine that runs many searches (and many candidate evaluations)
 in parallel behind the :class:`TuningSession` API, with a persistent
-evaluation cache (:mod:`~repro.search.evalcache`), JSONL search traces
-(:mod:`~repro.search.trace`) and checkpoint/resume.
+evaluation cache (:mod:`~repro.search.evalcache`), which also resumes
+a rerun batch, and JSONL search traces (:mod:`~repro.search.trace`).
 """
 
 from .space import (DEFAULT_AES, DEFAULT_DIST_LINES, DEFAULT_UNROLLS,

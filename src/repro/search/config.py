@@ -54,9 +54,6 @@ class TuneConfig:
     trace: Optional[str] = _knob(
         None, "append a JSONL search trace (one event per evaluation, "
               "phase move and cache hit) to this file")
-    resume: Optional[str] = _knob(
-        None, "checkpoint completed jobs to this file and skip them "
-              "when re-run")
     #: the paper lists BF as planned, so it is off by default
     enable_block_fetch: bool = _knob(
         False, "make the BF extension searchable")
@@ -100,8 +97,9 @@ class TuneConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         # a negative min_gain would make every candidate "win" (each
         # move only needs to beat best * (1 - min_gain) > best), so the
-        # search would thrash between equivalent points
-        if self.min_gain < 0:
+        # search would thrash between equivalent points; a NaN one would
+        # let no candidate win, so the check is written to fail on NaN
+        if not self.min_gain >= 0:
             raise ValueError(f"min_gain must be >= 0, got {self.min_gain}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, "

@@ -57,7 +57,7 @@ class TunedKernel:
     def mflops(self) -> float:
         return self.timing.mflops
 
-    # -- JSON round-trip (evaluation cache, checkpoints, result store) --
+    # -- JSON round-trip (worker results, result store) -----------------
     def to_dict(self) -> Dict:
         """Summary form: the compiled IR is not serialized — FKO is
         deterministic, so ``from_dict`` recompiles it from the params."""

@@ -28,8 +28,6 @@ run needs:
   identically — nothing to retry, neither an evaluation nor a whole
   job); every evaluation ends in cycles or a fault, because each one
   is bounded by the simulator itself, never by a wall clock;
-* **checkpoint/resume** of partially completed batches to a JSON state
-  file;
 * a JSON-lines **trace** (:mod:`repro.search.trace`) of every
   evaluation, cache hit and phase move;
 * graceful **fallback to serial** when ``jobs=1`` or the pool dies.
@@ -49,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import __version__
-from ..errors import KernelTestFailure, ReproError, SimulationFault
+from ..errors import KernelTestFailure, SimulationFault
 from ..fko import FKO, TransformParams
 from ..hil.tiling import nest_info
 from ..kernels import KERNEL_ORDER, REGISTRY, get_kernel
@@ -59,7 +57,6 @@ from ..machine import (Context, canonical_machine, get_machine,
 from ..machine.config import MachineConfig
 from ..obs import metrics as _metrics
 from ..obs.core import Collector, use as _obs_use
-from ..records import read_json, write_json
 from ..timing.tester import test_kernel
 from ..timing.timer import Timer, default_n
 from ..util import LRUCache
@@ -209,7 +206,7 @@ def _eval_group_worker(payload: Dict) -> Tuple[List[Dict], Dict[str, int]]:
 
 
 #: TuneConfig fields a job worker never takes from the parent
-_PARENT_ONLY = ("jobs", "trace", "resume", "space", "start")
+_PARENT_ONLY = ("jobs", "trace", "space", "start")
 
 
 def _job_worker(payload: Dict) -> Dict:
@@ -217,8 +214,7 @@ def _job_worker(payload: Dict) -> Dict:
     fan-out).  Trace events are buffered and shipped back so the parent
     stays the only writer of the trace file."""
     job = TuningJob.from_dict(payload["job"])
-    config = TuneConfig(jobs=1, trace=None, resume=None,
-                        **payload["config"])
+    config = TuneConfig(jobs=1, trace=None, **payload["config"])
     with TuningSession(config, buffer_events=True) as session:
         try:
             tuned = session.tune(job.kernel, job.machine, job.context, job.n,
@@ -237,7 +233,7 @@ def _job_worker(payload: Dict) -> Dict:
 
 def job_key(kernel: str, machine: str, context, n: int) -> str:
     """The ``kernel:machine:context:n`` string that names one problem in
-    job results, checkpoints, wire keys and every trace ``job`` field."""
+    job results, wire keys and every trace ``job`` field."""
     return f"{kernel}:{machine}:{getattr(context, 'value', context)}:{n}"
 
 
@@ -267,8 +263,8 @@ class TuningJob:
                     f"registry machine; tune a custom MachineConfig with "
                     f"TuningSession.tune")
             self.machine = self.machine.name
-        # canonicalize aliases ("P4E", "pentium4", ...) so checkpoint
-        # keys match however the job was constructed
+        # canonicalize aliases ("P4E", "pentium4", ...) so job keys
+        # match however the job was constructed
         self.machine = canonical_machine(self.machine)
         self.context = parse_context(self.context)
         if self.kernel not in REGISTRY:
@@ -313,7 +309,6 @@ class EngineStats:
     fast_path: int = 0        # evaluations timed via steady-state replay
     slow_path: int = 0        # evaluations that walked every line
     jobs_completed: int = 0
-    jobs_resumed: int = 0
     # batched-evaluation reuse (compile prefix snapshots forked /
     # full pipelines run, and walks served from the timer's shared
     # cache); the session and its workers both contribute
@@ -347,7 +342,6 @@ class BatchResult:
 
     results: Dict[str, TunedKernel]
     errors: Dict[str, str] = field(default_factory=dict)
-    resumed: List[str] = field(default_factory=list)
     wall: float = 0.0
 
     def __getitem__(self, job_key: str) -> TunedKernel:
@@ -355,12 +349,6 @@ class BatchResult:
 
     def __len__(self) -> int:
         return len(self.results)
-
-    def to_dict(self) -> Dict:
-        return {"results": {k: tk.to_dict()
-                            for k, tk in self.results.items()},
-                "errors": dict(self.errors),
-                "resumed": list(self.resumed), "wall": self.wall}
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +515,8 @@ class _Evaluator:
 class TuningSession:
     """The in-process transport over the engine.
 
-    Owns the worker pool, the persistent evaluation cache, the trace
-    writer and batch checkpoints.  Use it as a context manager::
+    Owns the worker pool, the persistent evaluation cache and the trace
+    writer.  Use it as a context manager::
 
         with TuningSession(TuneConfig(jobs=4, cache_dir=".cache")) as s:
             batch = s.run(registry_jobs(machines=["p4e", "opteron"]))
@@ -780,43 +768,26 @@ class TuningSession:
         jobs = [j if isinstance(j, TuningJob) else TuningJob.from_dict(j)
                 for j in jobs]
         t0 = time.perf_counter()
-        completed = self._load_checkpoint()
         results: Dict[str, TunedKernel] = {}
         errors: Dict[str, str] = {}
-        resumed: List[str] = []
 
         self.emit("batch-start", jobs=[j.key() for j in jobs],
                   njobs=len(jobs))
-        pending: List[TuningJob] = []
-        for job in jobs:
-            key = job.key()
-            if key in completed:
-                try:
-                    results[key] = TunedKernel.from_dict(completed[key])
-                except (ReproError, KeyError, ValueError, TypeError):
-                    pending.append(job)   # corrupt entry: recompute
-                    continue
-                resumed.append(key)
-                self.stats.jobs_resumed += 1
-                self.emit("job-resumed", job=key)
-            else:
-                pending.append(job)
-
-        pool = self.pool() if len(pending) > 1 else None
+        pool = self.pool() if len(jobs) > 1 else None
         if pool is not None:
             blob = self._worker_config()
             futures = {pool.submit(_job_worker,
                                    {"job": job.to_dict(), "config": blob}):
-                       job for job in pending}
+                       job for job in jobs}
             try:
                 for fut in concurrent.futures.as_completed(futures):
                     job = futures[fut]
                     outcome = fut.result()
-                    self._absorb(job, outcome, results, errors, completed)
+                    self._absorb(job, outcome, results, errors)
             except BrokenProcessPool:
                 self.mark_pool_broken()   # leftovers re-run serially below
 
-        leftovers = [job for job in pending
+        leftovers = [job for job in jobs
                      if job.key() not in results
                      and job.key() not in errors]
         for job in leftovers:
@@ -829,8 +800,6 @@ class TuningSession:
                 self.emit("job-error", job=key, error=errors[key])
                 continue
             results[key] = tuned
-            completed[key] = tuned.to_dict()
-            self._save_checkpoint(completed)
 
         wall = time.perf_counter() - t0
         stats = self.stats
@@ -845,20 +814,17 @@ class TuningSession:
                   batch_walk_hits=stats.batch_walk_hits,
                   batch_groups=stats.batch_groups,
                   batch_size_total=stats.batch_size_total)
-        return BatchResult(results=results, errors=errors, resumed=resumed,
-                           wall=wall)
+        return BatchResult(results=results, errors=errors, wall=wall)
 
     def _absorb(self, job: TuningJob, outcome: Dict,
-                results: Dict[str, TunedKernel], errors: Dict[str, str],
-                completed: Dict[str, Dict]) -> None:
+                results: Dict[str, TunedKernel],
+                errors: Dict[str, str]) -> None:
         key = job.key()
         if self._trace is not None:
             self._trace.write_many(outcome.get("events") or [])
         self.stats.merge(outcome.get("stats"))
         if outcome.get("ok"):
             results[key] = TunedKernel.from_dict(outcome["result"])
-            completed[key] = outcome["result"]
-            self._save_checkpoint(completed)
         else:
             errors[key] = outcome.get("error") or "unknown worker failure"
             self.emit("job-error", job=key, error=errors[key])
@@ -871,17 +837,3 @@ class TuningSession:
         return {f.name: getattr(self.config, f.name)
                 for f in dataclasses.fields(TuneConfig)
                 if f.name not in _PARENT_ONLY}
-
-    # -- checkpointing --------------------------------------------------
-    def _load_checkpoint(self) -> Dict[str, Dict]:
-        path = self.config.resume
-        state = read_json(path) if path else None
-        if state is None or state.get("version") != __version__:
-            return {}   # absent, damaged, or another code version
-        completed = state.get("completed")
-        return dict(completed) if isinstance(completed, dict) else {}
-
-    def _save_checkpoint(self, completed: Dict[str, Dict]) -> None:
-        if self.config.resume:
-            write_json(self.config.resume,
-                       {"version": __version__, "completed": completed})

@@ -79,7 +79,7 @@ class SearchResult:
                 out[p] = g
         return out
 
-    # -- JSON round-trip (evaluation cache, checkpoints, result store) --
+    # -- JSON round-trip (worker results, result store) -----------------
     def to_dict(self) -> Dict:
         return {"schema": 1,
                 "best_params": self.best_params.to_dict(),

@@ -50,7 +50,6 @@ job-end      job, best_cycles, evaluations, mflops, params, plus the
              session-cumulative batched-evaluation counters
              batch_prefix_hits/misses, batch_walk_hits, batch_groups,
              batch_size_total
-job-resumed  job (reloaded from a checkpoint, no search ran)
 job-error    job, error
 pool-broken  job (optional) — worker pool died, run fell back serial
 batch-end    completed, errors, wall, evaluations, cache_hits,
@@ -265,8 +264,6 @@ def summarize_trace(events) -> Dict:
             entry["best_cycles"] = ev.get("best_cycles")
             entry["mflops"] = ev.get("mflops")
             entry["params"] = ev.get("params")
-        elif kind == "job-resumed" and job:
-            job_entry(job)["status"] = "resumed"
         elif kind == "job-error" and job:
             entry = job_entry(job)
             entry["status"] = "error"
@@ -325,9 +322,7 @@ def render_trace_summary(summary: Dict) -> str:
         for key, j in summary["jobs"].items():
             desc = (f"  {key:{width}s}  evals={j['evaluations']:<4d} "
                     f"hits={j['cache_hits']:<4d}")
-            if j["status"] == "resumed":
-                desc += " [resumed from checkpoint]"
-            elif j["status"] == "error":
+            if j["status"] == "error":
                 desc += f" [ERROR: {j.get('error')}]"
             elif j["best_cycles"] is not None:
                 desc += f" best={j['best_cycles']:.0f}cy"

@@ -41,6 +41,7 @@ bit-identical answers by construction.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import threading
 from dataclasses import dataclass
@@ -100,8 +101,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if not 0 < length <= MAX_BODY:
             return None
         try:
-            data = json.loads(self.rfile.read(length))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            data = json.loads(self.rfile.read(length),
+                              parse_float=_finite, parse_constant=_finite)
+        except (OSError, ValueError):   # incl. JSONDecodeError, bad UTF-8
             return None
         return data if isinstance(data, dict) else None
 
@@ -168,7 +170,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return self._error(400, "body must be a JSON TuneRequest")
         try:
             request = TuneRequest.from_dict(data)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             return self._error(400, f"bad TuneRequest: {exc}")
         try:
             job, how = self.manager.submit(request,
@@ -212,6 +214,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         for record in self.manager.events(job.id, start, follow):
             self.wfile.write(json.dumps(record).encode() + b"\n")
+
+
+def _finite(text: str) -> float:
+    """``json.loads`` accepts ``NaN``, ``Infinity`` and ``1e999``
+    (which overflows to ``inf``); no route takes a non-finite number,
+    so the body is refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in request body")
+    return value
 
 
 def _arg(query: Dict, name: str) -> Optional[str]:

@@ -78,11 +78,17 @@ class TuneRequest:
     test: bool = True
 
     def __post_init__(self):
-        # coerce every bool/int/float knob to its default's type once,
-        # so canonical(), to_config() and digest() read clean values
+        # coerce every int/float knob to its default's type once, so
+        # canonical(), to_config() and digest() read clean values; a
+        # bool knob takes only a bool ("false" would coerce to True)
         for f in fields(self):
-            if type(f.default) in (bool, int, float):
-                setattr(self, f.name, type(f.default)(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            if type(f.default) is bool:
+                if not isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be a boolean, "
+                                     f"got {value!r}")
+            elif type(f.default) in (int, float):
+                setattr(self, f.name, type(f.default)(value))
         if self.kernel not in REGISTRY:
             raise ValueError(f"unknown kernel {self.kernel!r}; the "
                              f"service tunes registry kernels")
@@ -127,12 +133,12 @@ class TuneRequest:
     def to_config(self, base: Optional[TuneConfig] = None) -> TuneConfig:
         """The per-request :class:`TuneConfig`: request fields override
         the search-shaping knobs; operational knobs (``jobs``,
-        ``cache_dir``, ``trace``, ``resume``) come from ``base`` — the
-        daemon's own configuration."""
+        ``cache_dir``, ``trace``) come from ``base`` — the daemon's own
+        configuration."""
         base = base if base is not None else TuneConfig()
         knobs = {_CONFIG_NAMES.get(k, k): v
                  for k, v in self.canonical().items() if k not in _PROBLEM}
-        return base.replace(space=None, start=None, resume=None, **knobs)
+        return base.replace(space=None, start=None, **knobs)
 
     def to_dict(self) -> Dict:
         return {"schema": 1, **self.canonical()}

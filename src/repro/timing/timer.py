@@ -48,7 +48,7 @@ class KernelTiming:
         return (f"<{self.machine}/{self.context.value} N={self.n}: "
                 f"{self.cycles:.0f} cy, {self.mflops:.1f} MFLOPS>")
 
-    # -- JSON round-trip (evaluation cache, checkpoints) ----------------
+    # -- JSON round-trip (worker results, result store) -----------------
     # ``raw`` (the per-level TimingResult breakdown) is derived data and
     # is not serialized; a reloaded timing carries ``raw=None``.
     def to_dict(self) -> dict:

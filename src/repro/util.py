@@ -64,7 +64,7 @@ def check_schema(data: dict, what: str) -> int:
     """Validate the ``schema`` field of a serialized payload.
 
     Missing means schema 1 (every pre-versioning payload), so old
-    caches, checkpoints and result stores keep loading.  A schema from
+    caches and result stores keep loading.  A schema from
     the future is an error — silently misreading it would be worse.
     """
     schema = data.get("schema", 1)

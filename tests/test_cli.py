@@ -115,17 +115,22 @@ class TestTuneAllAndTrace:
         assert "ddot:p4e:out-of-cache:4000" in out
 
     def test_tune_all_cache_and_resume(self, capsys, tmp_path):
-        state = tmp_path / "batch.json"
+        """Resuming is rerunning against the same cache dir: nothing is
+        computed and every job row comes back unchanged."""
         cache = tmp_path / "evals"
-        args = ("tune-all", "--kernels", "ddot", "--n", "4000",
-                "--max-evals", "30", "--cache-dir", str(cache),
-                "--resume", str(state))
-        rc, out, _ = run(capsys, *args)
-        assert rc == 0 and "0 resumed" in out
-        rc, out, _ = run(capsys, *args)
-        assert rc == 0
-        assert "1 resumed" in out
-        assert "1/1 jobs" in out
+        args = ("tune-all", "--kernels", "ddot,dasum", "--n", "4000",
+                "--max-evals", "30", "--cache-dir", str(cache))
+
+        def rows(out):
+            return [line for line in out.splitlines()
+                    if not line.startswith("#")]
+        rc, first, _ = run(capsys, *args)
+        assert rc == 0 and "2/2 jobs" in first
+        assert "# evaluations: 0 computed" not in first
+        rc, again, _ = run(capsys, *args)
+        assert rc == 0 and "2/2 jobs" in again
+        assert "# evaluations: 0 computed" in again
+        assert rows(again) == rows(first) and len(rows(first)) == 2
 
     def test_tune_all_rejects_unknown_kernel(self, capsys):
         with pytest.raises(SystemExit):

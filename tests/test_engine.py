@@ -4,7 +4,8 @@ Covers the engine's contract surface:
 
 * parallel == serial, bit-identical, at both fan-out grains;
 * the persistent evaluation cache (warm rerun = zero evaluations);
-* checkpoint/resume of a batch;
+* resume = rerun against the same cache dir, even after a batch died
+  half-way through a job;
 * JSON round-trips of params / search results / tuned kernels;
 * robustness: a SimulationFault is never retried (neither an evaluation
   nor a job);
@@ -170,28 +171,50 @@ class TestEvalCache:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint / resume
+# resume: rerun the batch against the same cache dir
 
-class TestCheckpointResume:
-    def test_resume_skips_completed_jobs(self, tmp_path):
-        state = str(tmp_path / "batch.json")
-        j1 = TuningJob("ddot", "p4e", Context.OUT_OF_CACHE, N,
-                       max_evals=EVALS)
-        j2 = TuningJob("dasum", "p4e", Context.OUT_OF_CACHE, N,
-                       max_evals=EVALS)
-        with TuningSession(_config(resume=state)) as s:
-            first = s.run([j1])
-        assert not first.resumed and j1.key() in first.results
-        saved = json.loads((tmp_path / "batch.json").read_text())
-        assert j1.key() in saved["completed"]
+class TestRerunResumes:
+    def test_rerun_after_interrupt_matches_clean_run(self, tmp_path,
+                                                     monkeypatch):
+        """A serial batch of 3 jobs is stopped by a KeyboardInterrupt
+        partway through job 2's search.  The rerun computes nothing for
+        job 1, serves every evaluation job 2 had recorded from the
+        cache, and answers all 3 jobs exactly as a clean run does."""
+        from repro.service import history_digest
+        jobs = [TuningJob(k, "p4e", Context.OUT_OF_CACHE, N,
+                          max_evals=EVALS)
+                for k in ("ddot", "dasum", "dcopy")]
+        cache = str(tmp_path / "evals")
+        recorded = []
+        put = EvalCache.put
 
-        with TuningSession(_config(resume=state)) as s:
-            second = s.run([j1, j2])
-            assert s.stats.jobs_resumed == 1
-        assert second.resumed == [j1.key()]
-        assert len(second) == 2
-        assert (second[j1.key()].params.key()
-                == first[j1.key()].params.key())
+        def interrupted_put(self, digest, cycles, meta=None):
+            put(self, digest, cycles, meta=meta)
+            if meta and meta["kernel"] == "dasum":
+                recorded.append(digest)
+                if len(recorded) == 5:
+                    raise KeyboardInterrupt
+        monkeypatch.setattr(EvalCache, "put", interrupted_put)
+        with pytest.raises(KeyboardInterrupt):
+            with TuningSession(_config(cache_dir=cache)) as s:
+                s.run(jobs)
+        monkeypatch.setattr(EvalCache, "put", put)
+        assert len(recorded) == 5
+
+        trace = str(tmp_path / "rerun.jsonl")
+        with TuningSession(_config(cache_dir=cache, trace=trace)) as s:
+            rerun = s.run(jobs)
+        with TuningSession(_config()) as s:
+            clean = s.run(jobs)
+        per_job = summarize_trace(read_trace(trace))["jobs"]
+        assert per_job[jobs[0].key()]["evaluations"] == 0
+        assert per_job[jobs[1].key()]["cache_hits"] >= len(recorded)
+        for job in jobs:
+            got, want = rerun[job.key()], clean[job.key()]
+            assert got.params.key() == want.params.key()
+            assert got.search.best_cycles == want.search.best_cycles
+            assert (history_digest(got.search)
+                    == history_digest(want.search))
 
 
 # ---------------------------------------------------------------------------

@@ -288,9 +288,11 @@ class TestTraceV2:
     def test_session_closes_trace_when_batch_dies(self, tmp_path, monkeypatch):
         path = tmp_path / "t.jsonl"
         session = TuningSession(_config(trace=str(path)))
-        monkeypatch.setattr(session, "_load_checkpoint",
-                            lambda: (_ for _ in ()).throw(RuntimeError("x")))
-        with pytest.raises(RuntimeError):
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(session, "tune", interrupted)
+        with pytest.raises(KeyboardInterrupt):
             session.run([TuningJob("ddot", "p4e",
                                    Context.OUT_OF_CACHE, N)])
         assert session._trace._fh is None

@@ -1,9 +1,9 @@
 """One robustness matrix over every store that persists JSON.
 
-The eval cache, the serve result store, the experiment rows, the
-warm-start entries and the batch checkpoint all read and write through
-``repro.records``.  Each test below is one row of the matrix and runs
-against all five views, through each view's own key function and
+The eval cache, the serve result store, the experiment rows and the
+warm-start entries all read and write through ``repro.records``.  Each
+test below is one row of the matrix and runs against all four views,
+through each view's own key function and
 validation:
 
 * a record round-trips;
@@ -117,26 +117,8 @@ class WarmView:
         return None
 
 
-class CheckpointView:
-    """One batch-checkpoint file: job key -> completed result."""
-
-    loud = False
-    COMPLETED = {"ddot:p4e:out-of-cache:4000": {"kernel": "ddot"}}
-
-    def _session(self, root):
-        return TuningSession(TuneConfig(resume=str(root / "batch.json"),
-                                        run_tester=False))
-
-    def write(self, root):
-        self._session(root)._save_checkpoint(self.COMPLETED)
-        return self.COMPLETED
-
-    def read(self, root):
-        return self._session(root)._load_checkpoint() or None
-
-
 VIEWS = {"eval": EvalView(), "serve": ServeView(), "rows": RowsView(),
-         "warm": WarmView(), "checkpoint": CheckpointView()}
+         "warm": WarmView()}
 
 
 @pytest.fixture(params=sorted(VIEWS))

@@ -132,15 +132,14 @@ def test_every_field_has_a_flag():
     for f in dataclasses.fields(TuneConfig):
         if f.name not in FLAGLESS:
             assert hasattr(tune_all, f.name), f.name
-            assert hasattr(tune, f.name) or f.name in ("run_tester",
-                                                       "resume"), f.name
+            assert hasattr(tune, f.name) or f.name == "run_tester", f.name
 
 
 #: every engine flag spelling each subcommand accepted before the flags
 #: were generated (``--test-best`` aside: it was folded into the tester;
-#: ``--no-fast-timing``, ``--no-prefix-cache`` and ``--timeout`` aside:
-#: their knobs are deleted; ``--no-metrics`` aside: a daemon always
-#: serves its metrics)
+#: ``--no-fast-timing``, ``--no-prefix-cache``, ``--timeout`` and
+#: ``--resume`` aside: their knobs are deleted; ``--no-metrics`` aside:
+#: a daemon always serves its metrics)
 PARENT_FLAGS = {
     "tune": ["-c oc", "--context ic", "--n 100", "--max-evals 5",
              "--strategy random", "--seed 3", "--warm-start D", "--jobs 2",
@@ -152,7 +151,7 @@ PARENT_FLAGS = {
                  "--jobs 2", "-j 2", "--cache-dir D", "--trace-out F",
                  "--batch-size 4", "--observe",
                  "--verify-ir",
-                 "--resume F", "--test", "--kernels ddot",
+                 "--test", "--kernels ddot",
                  "--serve-url U", "-m opteron", "--machine p4e"],
     "serve": ["--host 0.0.0.0", "--port 0", "--jobs 2", "-j 2",
               "--cache-dir D", "--results-dir D", "--trace-out F",
@@ -182,12 +181,12 @@ def test_test_best_flag_is_gone(head):
 @pytest.mark.parametrize("head", [["tune", "ddot"], ["tune-all"],
                                   ["serve"]])
 @pytest.mark.parametrize("flag", ["--no-fast-timing", "--no-prefix-cache",
-                                  "--timeout 1"])
+                                  "--timeout 1", "--resume F"])
 def test_switches_that_cannot_change_an_answer_are_gone(head, flag):
     with pytest.raises(SystemExit):
         build_parser().parse_args(head + flag.split())
     names = {f.name for f in dataclasses.fields(TuneConfig)}
-    assert not names & {"fast_timing", "prefix_cache", "timeout"}
+    assert not names & {"fast_timing", "prefix_cache", "timeout", "resume"}
     wire = {f.name for f in dataclasses.fields(TuneRequest)}
     assert not wire & {"fast_timing", "timeout"}
 

@@ -17,10 +17,14 @@ The layering contract under test:
   matches the local differential-fuzzer digest.
 """
 
+import http.client
 import json
 import threading
+from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.machine import Context
 from repro.search import TuneConfig, TuningSession, read_trace
@@ -105,6 +109,17 @@ class TestTuneRequestSchema:
             TuneRequest(kernel="nope")
         with pytest.raises(ValueError):
             _request(context="in-l9")
+
+    @pytest.mark.parametrize("field", ["observe", "verify_ir",
+                                       "enable_block_fetch", "test"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_bool_knobs_take_only_booleans(self, field, value):
+        # bool("false") is True: a coercing schema would run the tester
+        # or turn observation on for a request that asked the opposite
+        with pytest.raises(ValueError, match=field):
+            TuneRequest.from_dict({"kernel": "ddot", field: value})
+        assert getattr(TuneRequest.from_dict({"kernel": "ddot",
+                                              field: False}), field) is False
 
     def test_to_config_keeps_operational_knobs(self, tmp_path):
         base = TuneConfig(jobs=3, cache_dir=str(tmp_path / "c"))
@@ -478,6 +493,20 @@ class TestDaemon:
         with pytest.raises(ServiceError, match="404"):
             client._json("GET", "/v1/nope")
 
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/tune", '{"kernel": "ddot", "n": Infinity}'),
+        ("/v1/tune", '{"kernel": "ddot", "budget": -Infinity}'),
+        ("/v1/tune", '{"kernel": "ddot", "min_gain": NaN}'),
+        ("/v1/tune", '{"kernel": "ddot", "min_gain": 1e999}'),
+        ("/v1/tune", '{"kernel": "ddot", "min_gain": 1%s}' % ("0" * 400)),
+        ("/v1/compile", '{"kernel": "ddot", "params": {"unroll": Infinity}}'),
+    ], ids=["n-inf", "budget-neg-inf", "min-gain-nan", "min-gain-1e999",
+            "min-gain-int-too-big-for-float", "compile-unroll-inf"])
+    def test_non_finite_and_overflowing_numbers_are_400s(self, daemon, path,
+                                                         body):
+        code, payload = _post_raw(daemon, path, body)
+        assert code == 400 and "error" in payload
+
     def test_compile_matches_local_fuzzer_digest(self, daemon):
         from repro.fko import TransformParams
         from repro.qa.differ import compile_digest
@@ -494,6 +523,66 @@ class TestDaemon:
         assert remote["ok"]
         assert remote["ir_digest"] == local["ir_digest"]
         assert remote["applied"] == local["applied"]
+
+
+def _post_raw(handle, path, body):
+    """POST ``body`` verbatim (it need not be strict JSON) and return
+    ``(status, decoded JSON answer)``."""
+    host, port = handle.server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("POST", path, body=body.encode(),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read() or b"null")
+    finally:
+        conn.close()
+
+
+#: a JSON value of any shape, non-finite floats included (``json.dumps``
+#: writes them as the ``NaN``/``Infinity`` constants Python accepts)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["ddot", "dgemm", "p4e", "oc", "in-l2", "genetic"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner,
+                                     max_size=3)),
+    max_leaves=6)
+_WIRE_KEYS = [f.name for f in fields(TuneRequest)] + ["schema", "max_evals"]
+_PAYLOADS = (st.dictionaries(st.text(max_size=8), _JSON, max_size=4)
+             | st.dictionaries(st.sampled_from(_WIRE_KEYS), _JSON,
+                               max_size=6)
+             | st.builds(lambda kernel, extra: dict(extra, kernel=kernel),
+                         st.sampled_from(["ddot", "dscal", "dgemm"]),
+                         st.dictionaries(st.sampled_from(_WIRE_KEYS), _JSON,
+                                         max_size=4)))
+
+
+def test_malformed_tune_payloads_are_4xx_not_500():
+    """Whatever JSON object a client sends, ``/v1/tune`` answers a 202
+    or a 4xx with a JSON ``error`` body, and the daemon stays up.  The
+    dispatcher is parked, so accepted requests only queue."""
+    handle = start_server("127.0.0.1", 0, config=_config(),
+                          autostart=False)
+    with handle:
+        @settings(max_examples=150, deadline=None, derandomize=True,
+                  suppress_health_check=list(HealthCheck))
+        @given(_PAYLOADS)
+        @example({"kernel": "ddot", "n": float("inf")})
+        @example({"kernel": "ddot", "budget": float("-inf")})
+        def post(payload):
+            code, answer = _post_raw(handle, "/v1/tune", json.dumps(payload))
+            assert code == 202 or (400 <= code < 500
+                                   and isinstance(answer.get("error"), str)), \
+                (code, answer)
+
+        post()
+        host, port = handle.server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        conn.request("GET", "/v1/healthz")
+        assert conn.getresponse().status == 200
+        conn.close()
 
 
 class TestDaemonStaging:

@@ -190,6 +190,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="min_gain"):
             TuneConfig(min_gain=-0.01)
 
+    def test_nan_min_gain_rejected(self):
+        # NaN fails every comparison, so ``min_gain < 0`` let it through
+        # and no candidate could ever displace the incumbent
+        with pytest.raises(ValueError, match="min_gain"):
+            TuneConfig(min_gain=float("nan"))
+
     def test_zero_min_gain_allowed(self):
         assert TuneConfig(min_gain=0.0).min_gain == 0.0
 
