@@ -165,10 +165,14 @@ def _probe_log(stepped, no_period):
 
 def _workload(quick: bool):
     """The canonical throughput workload: (machine, context, kernel, n,
-    (unroll, ae) grid) batches — shared by the unbatched and batched
-    sections so their cycles are comparable eval for eval."""
+    (unroll, ae, prefetch distance) grid) batches — shared by the
+    unbatched and batched sections so their cycles are comparable eval
+    for eval.  The distance axis makes most batched compiles hits in
+    FKO's distance-class memo, so the mismatch gate covers the
+    PREFETCH rebind."""
     unrolls = [1, 2, 4, 8] if quick else [1, 2, 3, 4, 6, 8, 12, 16]
-    keys = [(u, ae) for u in unrolls for ae in (1, 2, 4)]
+    dists = [256, 512] if quick else [128, 256, 512, 1024]
+    keys = [(u, ae, d) for u in unrolls for ae in (1, 2, 4) for d in dists]
     kernels = ["ddot", "daxpy"] if quick else ["ddot", "daxpy", "dscal",
                                                "dasum"]
     batches = []
@@ -177,6 +181,13 @@ def _workload(quick: bool):
             for ctx in (Context.OUT_OF_CACHE, Context.IN_L2):
                 batches.append((mname, ctx.value, kernel, paper_n(ctx), keys))
     return batches
+
+
+def _candidate(spec, unroll, ae, dist) -> TransformParams:
+    """One workload point: SV on, ``unroll`` x ``ae``, and every vector
+    argument prefetched (NTA) ``dist`` bytes ahead (0: no prefetch)."""
+    pf = {a: PrefetchParams(PrefetchHint.NTA, dist) for a in spec.vector_args}
+    return TransformParams(sv=True, unroll=unroll, ae=ae, prefetch=pf)
 
 
 class _ColdFKO(FKO):
@@ -205,8 +216,8 @@ def _eval_batch(machine_name, context_value, kernel, n, keys):
     timer = Timer(mach, Context(context_value), n)
     cycles = []
     t0 = time.perf_counter()
-    for unroll, ae in keys:
-        params = TransformParams(sv=True, unroll=unroll, ae=ae)
+    for key in keys:
+        params = _candidate(spec, *key)
         cycles.append(timer.time(fko.compile(spec.hil, params), spec).cycles)
     return time.perf_counter() - t0, cycles
 
@@ -261,8 +272,8 @@ def _batched_run(batches):
         timer = timers.setdefault((mname, ctxv, n),
                                   Timer(mach, Context(ctxv), n))
         flops = spec.flops(n)
-        for unroll, ae in keys:
-            params = TransformParams(sv=True, unroll=unroll, ae=ae)
+        for key in keys:
+            params = _candidate(spec, *key)
             c0 = time.perf_counter()
             share = fko.share_key(spec.hil, params)
             base = timer.peek_base(share)
@@ -345,8 +356,8 @@ def _evaluate_batch(machine_name, context_value, kernel, n, keys,
     timer = Timer(mach, Context(context_value), n)
     flops = spec.flops(n)
     t0 = time.perf_counter()
-    for unroll, ae in keys:
-        params = TransformParams(sv=True, unroll=unroll, ae=ae)
+    for key in keys:
+        params = _candidate(spec, *key)
         evaluate_params(fko, timer, spec.hil, params, flops, "bench|",
                         observe=observe)
     return time.perf_counter() - t0
@@ -373,7 +384,7 @@ def obs_overhead(quick: bool, threshold: float = 0.03):
     short reps put the noise floor above the threshold being
     enforced."""
     unrolls = [1, 2, 3, 4, 6, 8, 12, 16]
-    keys = [(u, ae) for u in unrolls for ae in (1, 2, 4)]
+    keys = [(u, ae, 0) for u in unrolls for ae in (1, 2, 4)]
     ctx = Context.OUT_OF_CACHE
     case = ("p4e", ctx.value, "ddot", paper_n(ctx), keys)
     # single draws are still ±5% noisy, so the estimator is the MEDIAN

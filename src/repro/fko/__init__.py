@@ -32,6 +32,7 @@ from .params import PrefetchParams, TransformParams, fko_defaults
 from .pipeline import (CompiledKernel, compile_kernel, compile_prefix,
                        finish_kernel, prefix_key)
 from .clonefn import clone_function
+from .prefetch import rebind_prefetches
 
 __all__ = ["FKO", "KernelAnalysis", "analyze", "PrefetchParams",
            "TransformParams", "fko_defaults", "CompiledKernel",
@@ -78,9 +79,11 @@ class FKO:
         #: entries are (Function, applied) and are cloned on every fork,
         #: so cached IR is never reachable from a caller
         self._snapshots = LRUCache(maxsize=32)
-        #: finished CompiledKernels keyed by the *complete* effective
-        #: parameter tuple — the maximal-depth prefix: when every
-        #: transform resolves identically, the whole pipeline is shared
+        #: finished CompiledKernels keyed by the complete effective
+        #: parameter tuple less each array's prefetch distance (one
+        #: entry per distance class); entries are (kernel, {array: dist
+        #: it was compiled at}) and a hit rebinds the PREFETCH
+        #: displacements to the caller's distances
         self._full_cache = LRUCache(maxsize=256)
         # reuse counters (read by the search engine / benchmarks)
         self.prefix_hits = 0      # forked from a post-AE snapshot
@@ -172,19 +175,27 @@ class FKO:
         if params is None:
             params = self.defaults(source)
 
+        # the distance class: PF runs before every pass that could see
+        # a displacement, so kernels that differ only in prefetch
+        # distance are one body with different PREFETCH displacements
         fkey = self._full_key(source, params, analysis, debug_verify)
-        hit = self._full_cache.get(fkey)
+        ckey = fkey[:2] + (tuple(e[:2] for e in fkey[2]),) + fkey[3:]
+        dists = {a: dist for a, _, dist in fkey[2]}
+        hit = self._full_cache.get(ckey)
         if hit is not None:
-            # whole-pipeline reuse: every transform resolves identically,
-            # so the finished kernel is shared — cloned, so no caller
-            # ever holds (or can mutate) cache-owned IR
+            # whole-pipeline reuse, cloned so no caller ever holds (or
+            # can mutate) cache-owned IR, then moved to these distances
+            kernel, at = hit
+            fn = clone_function(kernel.fn)
+            if dists != at:
+                rebind_prefetches(fn, at, dists)
             self.full_hits += 1
             self.prefix_hits += 1
-            return CompiledKernel(fn=clone_function(hit.fn), params=params,
-                                  analysis=hit.analysis,
+            return CompiledKernel(fn=fn, params=params,
+                                  analysis=kernel.analysis,
                                   machine=self.machine,
-                                  applied=dict(hit.applied),
-                                  allocation=hit.allocation)
+                                  applied=dict(kernel.applied),
+                                  allocation=kernel.allocation)
 
         pkey = (source, prefix_key(params, analysis, debug_verify))
         snap = self._snapshots.get(pkey)
@@ -203,10 +214,11 @@ class FKO:
                                      params, analysis, dict(snap_applied),
                                      debug_verify)
         # the cache owns a private clone; the caller gets the original
-        self._full_cache.put(fkey, CompiledKernel(
+        self._full_cache.put(ckey, (CompiledKernel(
             fn=clone_function(compiled.fn), params=compiled.params,
             analysis=compiled.analysis, machine=compiled.machine,
-            applied=dict(compiled.applied), allocation=compiled.allocation))
+            applied=dict(compiled.applied), allocation=compiled.allocation),
+            dists))
         return compiled
 
     def share_key(self, source: Union[str, Function],

@@ -24,6 +24,10 @@ from ..obs.core import count as _obs_count
 from .params import PrefetchParams
 
 
+def _comment(array: str, dist: int) -> str:
+    return f"pf {array}+{dist}"
+
+
 def insert_prefetches(fn: Function, prefetch: Dict[str, PrefetchParams],
                       line_size: int) -> int:
     """Insert prefetch instructions for the configured arrays.  Returns
@@ -53,7 +57,7 @@ def insert_prefetches(fn: Function, prefetch: Dict[str, PrefetchParams],
                       array=array)
             plan.append(Instruction(Opcode.PREFETCH, None, (mem,),
                                     hint=pf.hint,
-                                    comment=f"pf {array}+{pf.dist}"))
+                                    comment=_comment(array, pf.dist)))
         inserted += n_pf
 
     if not plan:
@@ -77,3 +81,22 @@ def insert_prefetches(fn: Function, prefetch: Dict[str, PrefetchParams],
         pos += step + 1
     _obs_count("pf.inserted", inserted)
     return inserted
+
+
+def rebind_prefetches(fn: Function, old: Dict[str, int],
+                      new: Dict[str, int]) -> None:
+    """Move every prefetch in ``fn`` from its array's distance in
+    ``old`` to its distance in ``new``, in place.
+
+    PF runs before the repeatable blocks and register allocation, and
+    no later pass reads a prefetch's displacement, so a kernel finished
+    at one distance becomes the kernel finished at another by adding
+    ``new - old`` to each of its PREFETCH displacements."""
+    for block in fn.blocks:
+        for instr in block.instrs:
+            if instr.op is Opcode.PREFETCH:
+                mem = instr.srcs[0]
+                dist = new[mem.array]
+                instr.srcs = (mem.with_disp(mem.disp + dist
+                                            - old[mem.array]),)
+                instr.comment = _comment(mem.array, dist)

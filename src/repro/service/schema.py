@@ -22,6 +22,7 @@ their defaults, and a schema number from the future is refused loudly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
@@ -55,6 +56,18 @@ _PROBLEM = ("kernel", "machine", "context", "n")
 _CONFIG_NAMES = {"budget": "max_evals", "test": "run_tester"}
 
 
+def _number(name: str, value, kind: type):
+    """``value`` as ``kind`` (int or float), refusing what a cast would
+    silently change: a bool, a non-number and, for an int, a number
+    with a fractional part (or a non-finite one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if kind is int and not isinstance(value, numbers.Integral):
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    return kind(value)
+
+
 @dataclass
 class TuneRequest:
     """One tuning problem, canonicalized and digestible.
@@ -78,9 +91,10 @@ class TuneRequest:
     test: bool = True
 
     def __post_init__(self):
-        # coerce every int/float knob to its default's type once, so
+        # normalize every int/float knob to its default's type once, so
         # canonical(), to_config() and digest() read clean values; a
-        # bool knob takes only a bool ("false" would coerce to True)
+        # bool knob takes only a bool ("false" would coerce to True) and
+        # a number knob only a number (True would coerce to 1, 2.9 to 2)
         for f in fields(self):
             value = getattr(self, f.name)
             if type(f.default) is bool:
@@ -88,13 +102,14 @@ class TuneRequest:
                     raise ValueError(f"{f.name} must be a boolean, "
                                      f"got {value!r}")
             elif type(f.default) in (int, float):
-                setattr(self, f.name, type(f.default)(value))
+                setattr(self, f.name,
+                        _number(f.name, value, type(f.default)))
         if self.kernel not in REGISTRY:
             raise ValueError(f"unknown kernel {self.kernel!r}; the "
                              f"service tunes registry kernels")
         self.machine = canonical_machine(self.machine)
         self.context = parse_context(self.context).value
-        self.n = (int(self.n) if self.n is not None
+        self.n = (_number("n", self.n, int) if self.n is not None
                   else default_n(self.kernel, self.context))
         if self.n <= 0:
             raise ValueError(f"n must be positive, got {self.n}")

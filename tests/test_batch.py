@@ -16,12 +16,14 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.fko import FKO, TransformParams, compile_kernel
+from repro.fko import FKO, PrefetchParams, TransformParams, compile_kernel
+from repro.ir import Opcode
 from repro.ir.printer import canonical_function_text, format_function
-from repro.kernels import get_kernel
+from repro.kernels import REGISTRY, get_kernel
 from repro.machine import Context, get_machine
 from repro.machine.loopinfo import summarize
 from repro.qa import run_fuzz
+from repro.qa.sampler import DEFAULT_MACHINES, iter_samples
 from repro.search import TuneConfig, TuningSession, build_space, make_searcher
 from repro.search.evalcache import eval_key
 from repro.service import history_digest
@@ -81,12 +83,13 @@ class TestBatchedBitIdentity:
 # ---------------------------------------------------------------------------
 # memoized compile and shared walk == the unmemoized pipeline, per candidate
 
-def _cold_compile(fko, hil, params):
+def _cold_compile(fko, hil, params, debug_verify=False):
     """The unmemoized pipeline on exactly what ``FKO.compile`` sees:
     the tiled source's fresh lowering and its analysis."""
     source = FKO._effective_source(hil, params)
     fn, noprefetch = fko.front_end(source)
     return compile_kernel(fn, fko.machine, params, noprefetch=noprefetch,
+                          debug_verify=debug_verify,
                           analysis=fko.analyze(source))
 
 
@@ -140,6 +143,106 @@ class TestMemoizedEqualsCold:
             fresh = Timer(timer.machine, timer.context, timer.n).base(
                 summarize(cold.fn), None, source=hil, tiles=tiles)
             assert shared == fresh, params.describe()
+
+    # ------------------------------------------------------------------
+    # the finished-kernel memo is keyed per prefetch-distance class: a
+    # hit from another distance is the cached body with its PREFETCH
+    # displacements moved, which must equal a cold compile at the new
+    # distance in everything the pipeline produces
+
+    @pytest.mark.parametrize("machine", ["p4e", "opteron"])
+    def test_distance_sweep_is_served_by_one_finish_per_kernel(self,
+                                                               machine):
+        fko = FKO(get_machine(machine))
+        compiles = classes = 0
+        for name in REGISTRY:
+            hil = get_kernel(name).hil
+            base = fko.defaults(hil)
+            arrays = fko.analyze(hil).prefetch_arrays
+            classes += bool(arrays)
+            for array in arrays:
+                for dist in _SWEEP:
+                    params = base.copy(prefetch={
+                        **base.prefetch,
+                        array: PrefetchParams(base.pf(array).hint, dist)})
+                    _assert_equals_cold(fko, hil, params)
+                    compiles += 1
+        # at FKO defaults every kernel is one distance class
+        assert fko.full_hits == compiles - classes
+
+    def test_fuzzed_points_at_shifted_distances(self):
+        fkos = {m: FKO(get_machine(m)) for m in DEFAULT_MACHINES}
+        shifted = 0
+        for sample in iter_samples(seed=11, budget=100):
+            fko = fkos[sample.machine]
+            hil = get_kernel(sample.kernel).hil
+            fko.compile(hil, sample.params, debug_verify=True)
+            on = {a: p for a, p in sample.params.prefetch.items()
+                  if p.enabled}
+            for step in (1, 2, 3, 5):
+                params = sample.params.copy(prefetch={
+                    **sample.params.prefetch,
+                    **{a: PrefetchParams(p.hint, p.dist + 64 * step * (i + 1))
+                       for i, (a, p) in enumerate(sorted(on.items()))}})
+                _assert_equals_cold(fko, hil, params, debug_verify=True)
+                shifted += bool(on)
+        assert shifted >= 200
+        assert sum(f.full_hits for f in fkos.values()) >= shifted
+
+
+_SWEEP = (64, 128, 256, 384, 1024, 2048)
+
+
+def _assert_equals_cold(fko, hil, params, debug_verify=False):
+    """``fko.compile`` equals the unmemoized pipeline: canonical IR text
+    (raw VReg uids depend on compile history), applied transforms and
+    spills."""
+    memo = fko.compile(hil, params, debug_verify=debug_verify)
+    cold = _cold_compile(fko, hil, params, debug_verify)
+    assert (canonical_function_text(memo.fn)
+            == canonical_function_text(cold.fn)), params.describe()
+    assert memo.applied == cold.applied, params.describe()
+    assert (getattr(memo.allocation, "n_spilled", None)
+            == getattr(cold.allocation, "n_spilled", None))
+
+
+# ---------------------------------------------------------------------------
+# work ledger: one back-half run per prefetch-distance class
+
+def _distance_class(fko, source, params, debug_verify):
+    """The share key with every enabled prefetch at one distance: two
+    compiles in the same class differ only in PREFETCH displacements."""
+    if params is not None:
+        params = params.copy(prefetch={
+            a: PrefetchParams(p.hint, 64 if p.enabled else 0)
+            for a, p in params.prefetch.items()})
+    return fko.share_key(source, params, debug_verify)
+
+
+class TestFinishCount:
+    def test_line_search_finishes_once_per_distance_class(self,
+                                                          monkeypatch):
+        import repro.fko
+        finishes, compiles, classes = [], [], set()
+        real_finish, real_compile = repro.fko.finish_kernel, FKO.compile
+
+        def finish(*args, **kwargs):
+            finishes.append(1)
+            return real_finish(*args, **kwargs)
+
+        def counted_compile(fko, source, params=None, debug_verify=False):
+            compiles.append(1)
+            classes.add(_distance_class(fko, source, params, debug_verify))
+            return real_compile(fko, source, params, debug_verify)
+
+        monkeypatch.setattr(repro.fko, "finish_kernel", finish)
+        monkeypatch.setattr(FKO, "compile", counted_compile)
+        cfg = TuneConfig(strategy="line", seed=0, jobs=1, run_tester=False)
+        with TuningSession(cfg) as s:
+            for kernel in ("ddot", "dasum"):
+                s.tune(kernel, "p4e", Context.OUT_OF_CACHE, 80000)
+        assert len(finishes) == len(classes)
+        assert len(compiles) > len(classes)   # and the memo served hits
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +340,32 @@ class TestPrefixCacheAliasing:
         again = fko.compile(hil, params)
         assert canonical_function_text(again.fn) == want
         assert fko.full_hits > 0   # and it *was* served from the cache
+
+    def test_vandalized_rebind_hit_cannot_poison_the_cache(self):
+        """A hit from another prefetch distance rewrites PREFETCH
+        operands and comments; it must do so on the caller's clone."""
+        fko = FKO(get_machine("opteron"))
+        hil = get_kernel("daxpy").hil
+        base = dataclasses.replace(fko.defaults(hil), unroll=4)
+
+        def at(dist):
+            return base.copy(prefetch={a: PrefetchParams(p.hint, dist)
+                                       for a, p in base.prefetch.items()})
+
+        for dist in (256, 512):   # the class's one finish, then a rebind
+            vandalized = 0
+            for block in fko.compile(hil, at(dist)).fn.blocks:
+                for instr in block.instrs:
+                    if instr.op is Opcode.PREFETCH:
+                        instr.srcs = (instr.srcs[0].with_disp(-4096),)
+                        instr.comment = "pf vandal+0"
+                        vandalized += 1
+            assert vandalized
+        again = fko.compile(hil, at(1024))
+        assert fko.full_hits == 2
+        assert (canonical_function_text(again.fn)
+                == canonical_function_text(
+                    _cold_compile(fko, hil, at(1024)).fn))
 
     def test_relowered_source_gets_its_own_analysis(self, monkeypatch):
         """An analysis names its function's VRegs, so it must come from

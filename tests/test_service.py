@@ -121,6 +121,28 @@ class TestTuneRequestSchema:
         assert getattr(TuneRequest.from_dict({"kernel": "ddot",
                                               field: False}), field) is False
 
+    @pytest.mark.parametrize("field, value", [
+        ("budget", True), ("seed", False), ("n", True), ("min_gain", False),
+        ("budget", 12.5), ("seed", 2.9), ("n", 4000.5),
+        ("budget", "12"), ("min_gain", "0.01"), ("n", "4000"),
+    ])
+    def test_number_knobs_take_only_numbers(self, field, value):
+        # int(True) is 1 and int(2.9) is 2: a casting schema would run a
+        # different search from the one the request spelled
+        with pytest.raises(ValueError, match=field):
+            TuneRequest.from_dict({"kernel": "ddot", field: value})
+
+    def test_integral_numbers_are_normalized(self):
+        request = TuneRequest.from_dict({"kernel": "ddot", "budget": 12.0,
+                                         "seed": 3.0, "n": 4000.0,
+                                         "min_gain": 0})
+        assert (request.budget, request.seed, request.n) == (12, 3, 4000)
+        assert all(type(v) is int for v in (request.budget, request.seed,
+                                            request.n))
+        assert type(request.min_gain) is float and request.min_gain == 0.0
+        assert request.digest() == TuneRequest(
+            kernel="ddot", budget=12, seed=3, n=4000, min_gain=0.0).digest()
+
     def test_to_config_keeps_operational_knobs(self, tmp_path):
         base = TuneConfig(jobs=3, cache_dir=str(tmp_path / "c"))
         cfg = _request(budget=17, seed=4).to_config(base)
@@ -505,6 +527,16 @@ class TestDaemon:
     def test_non_finite_and_overflowing_numbers_are_400s(self, daemon, path,
                                                          body):
         code, payload = _post_raw(daemon, path, body)
+        assert code == 400 and "error" in payload
+
+    @pytest.mark.parametrize("body", [
+        '{"kernel": "ddot", "budget": true}',
+        '{"kernel": "ddot", "seed": 2.9}',
+        '{"kernel": "ddot", "min_gain": false}',
+    ], ids=["budget-bool", "seed-fraction", "min-gain-bool"])
+    def test_booleans_and_fractions_in_number_knobs_are_400s(self, daemon,
+                                                             body):
+        code, payload = _post_raw(daemon, "/v1/tune", body)
         assert code == 400 and "error" in payload
 
     def test_compile_matches_local_fuzzer_digest(self, daemon):
